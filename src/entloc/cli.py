@@ -107,8 +107,11 @@ def cmd_le(args) -> int:
     state = load_state(args.state)
     rho = _as_density(state)
     measure = MEASURES[args.measure]()
-    config = LEConfig(restarts=args.restarts, seed=args.seed, tol=args.tol,
-                      max_iters=args.max_iters)
+    try:
+        config = LEConfig(restarts=args.restarts, seed=args.seed, tol=args.tol,
+                          max_iters=args.max_iters)
+    except ValueError as exc:
+        raise ParseError(f"bad optimizer budget: {exc}") from exc
     result = optimize_le(rho, measure, config)
     _emit_report(args, "le", result.to_dict(args.measure),
                  {"measure": args.measure, "state": args.state, "seed": args.seed,
@@ -279,7 +282,12 @@ def cmd_emit(args) -> int:
         params["p"] = args.p
     if args.n is not None:
         params["n"] = args.n
-    state = canonical_state(args.name, **params)
+    if args.name == "werner" and args.p is None:
+        raise ParseError("emit werner needs --p")
+    try:
+        state = canonical_state(args.name, **params)
+    except ValueError as exc:  # e.g. a Werner parameter outside [0, 1]
+        raise ParseError(str(exc)) from exc
     save_state(state, args.out)
     print(f"wrote {args.name} to {args.out}")
     return EXIT_OK

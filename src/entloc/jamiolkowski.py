@@ -18,6 +18,7 @@ import numpy as np
 
 from .states import (
     DensityOperator,
+    DimSpec,
     DimensionError,
     NullBranchError,
     permute_parties,
@@ -38,17 +39,27 @@ class JamiolkowskiMap:
     d_y: int
     d_z: int
 
+    @property
+    def y_dims(self) -> DimSpec:
+        """Layout of the image space: the Y parties in map order."""
+        return self.rho.dims.subspec(self.y_labels)
+
     def apply(self, q: np.ndarray) -> np.ndarray:
-        """Tr_Z[rho (I ⊗ q^t)]: the branch map in the physical convention."""
-        if q.shape != (self.d_z, self.d_z):
+        """Tr_Z[rho (I ⊗ q^t)]: the branch map in the physical convention.
+
+        ``q`` is one (d_z, d_z) operator or a (K, d_z, d_z) stack; a stack maps
+        to a (K, d_y, d_y) stack in one contraction.
+        """
+        if q.shape[-2:] != (self.d_z, self.d_z) or q.ndim not in (2, 3):
             raise DimensionError(f"operator shape {q.shape} != ({self.d_z}, {self.d_z})")
         tens = self.rho.matrix.reshape(self.d_y, self.d_z, self.d_y, self.d_z)
         # out[y, y'] = sum_{z z'} rho[(y z), (y' z')] (q^t)[z', z] = sum rho[(y z),(y' z')] q[z, z']
-        return np.einsum("yzwv,zv->yw", tens, q)
+        return np.einsum("yzwv,...zv->...yw", tens, q)
 
     def apply_physical(self, q: np.ndarray) -> np.ndarray:
-        """Unnormalized post-measurement branch Tr_Z[rho (I ⊗ q)] for POVM element q."""
-        return self.apply(q.T)
+        """Unnormalized post-measurement branch Tr_Z[rho (I ⊗ q)] for POVM element
+        q, or for each element of a (K, d_z, d_z) stack."""
+        return self.apply(np.swapaxes(q, -1, -2))
 
     def branch(self, q: np.ndarray, null_tol: float = 1e-14):
         """(probability, normalized branch DensityOperator on Y) for POVM element q."""
@@ -57,8 +68,7 @@ class JamiolkowskiMap:
         if p < null_tol:
             raise NullBranchError(f"branch probability {p:.3e} below {null_tol:.0e}")
         out = 0.5 * (out + out.conj().T)
-        y_spec = self.rho.dims.subspec(self.y_labels)
-        return p, DensityOperator(out / p, y_spec)
+        return p, DensityOperator(out / p, self.y_dims)
 
     def reconstruct(self) -> DensityOperator:
         """(map ⊗ id)(|psi+><psi+|); equals the source state by construction."""

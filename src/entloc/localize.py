@@ -15,17 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
+from .jamiolkowski import from_state
 from .measures import RootMeasure
-from .states import (
-    DensityOperator,
-    DimSpec,
-    DimensionError,
-    NullBranchError,
-    PureState,
-    conditional_state,
-)
-
-NULL_BRANCH_TOL = 1e-14
+from .states import DensityOperator, DimSpec, DimensionError, PureState
 
 
 @dataclass(frozen=True)
@@ -118,6 +110,12 @@ class LEConfig:
     seed: int = 0
     polish: bool = True
 
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+
     @staticmethod
     def from_dict(doc: dict) -> "LEConfig":
         return LEConfig(
@@ -139,26 +137,20 @@ def average_root_entanglement(rho: DensityOperator, povm: ProductPOVM,
                               measure: RootMeasure) -> LEResult:
     """Average branch entanglement for a fixed product POVM on the helpers.
 
-    Null branches (probability below 1e-14) contribute zero.
+    Every branch is the Jamiolkowski map of the state applied to one POVM
+    element; all of them come from one contraction and are scored in one
+    batched call. Null branches (probability below 1e-14) contribute zero.
     """
     if tuple(povm.z_labels) != tuple(rho.dims.z_labels):
         raise DimensionError(
             f"POVM helper labels {povm.z_labels} != state helper labels {rho.dims.z_labels}"
         )
     cut = _y_cut(rho.dims)
-    total = 0.0
-    branches = []
-    for k in range(povm.n_outcomes):
-        try:
-            p, sigma = conditional_state(rho, povm.element(k), povm.z_labels,
-                                         null_tol=NULL_BRANCH_TOL)
-        except NullBranchError:
-            branches.append((0.0, 0.0))
-            continue
-        val = measure.density(sigma, cut)
-        total += p * val
-        branches.append((p, val))
-    return LEResult(total, povm, tuple(branches))
+    jam = from_state(rho)
+    elements = np.stack([povm.element(k) for k in range(povm.n_outcomes)])
+    p, values = measure.operator_branches(jam.apply_physical(elements), jam.y_dims, cut)
+    branches = tuple((float(pk), float(vk)) for pk, vk in zip(p, values))
+    return LEResult(float(np.dot(p, values)), povm, branches)
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +167,19 @@ def _rank1_factors(params: list[np.ndarray]) -> list[np.ndarray]:
     return isos
 
 
+def _outcome_vectors(isos) -> np.ndarray:
+    """Row-wise Kronecker product of the per-party isometries.
+
+    Row k is the joint helper vector of outcome k, with outcomes in
+    ``np.ndindex`` order over the parties (the last party varies fastest).
+    """
+    out = isos[0]
+    for v in isos[1:]:
+        out = (out[:, None, :, None] * v[None, :, None, :]).reshape(
+            out.shape[0] * v.shape[0], out.shape[1] * v.shape[1])
+    return out
+
+
 def _povm_from_isometries(z_labels, isos) -> ProductPOVM:
     per_party = [
         [np.outer(v[k, :], v[k, :].conj()) for k in range(v.shape[0])] for v in isos
@@ -186,63 +191,47 @@ def _povm_from_isometries(z_labels, isos) -> ProductPOVM:
 
 
 class _PureEvaluator:
-    """Fast path: pure global state, rank-one product outcomes.
+    """Vector form: pure global state, rank-one product outcomes.
 
-    Branches are computed by contracting the helper indices with the outcome
-    vectors, then scored by SVD across the A|B cut -- no density matrices.
+    The branch of outcome k is the state tensor contracted with the conjugate
+    outcome vector on the helper indices; one matrix product gives all of them
+    as a (K, d_A, d_B) stack, scored by one batched SVD.
     """
 
     def __init__(self, psi: PureState, measure: RootMeasure):
         dims = psi.dims
-        self.z_labels = dims.z_labels
         a, b = _y_cut(dims)
-        order = a + b + self.z_labels
-        axes = dims.axes_of(order)
         self.da = dims.dim_of_labels(a)
         self.db = dims.dim_of_labels(b)
-        self.z_dims = [dims.dim_of(lab) for lab in self.z_labels]
-        tens = psi.as_tensor().transpose(axes)
-        self.tensor = tens.reshape((self.da, self.db) + tuple(self.z_dims))
+        measure.check_cut(self.da, self.db)
+        axes = dims.axes_of(a + b + dims.z_labels)
+        # (d_A d_B, d_Z): rows index the A-B pair, columns the joint helper space
+        self.tensor = psi.as_tensor().transpose(axes).reshape(self.da * self.db, -1)
         self.measure = measure
-        self.d_pad = max(self.da, self.db)
-
-    def _branch_value(self, mat: np.ndarray) -> float:
-        p = float(np.sum(np.abs(mat) ** 2))
-        if p < NULL_BRANCH_TOL:
-            return 0.0
-        s = np.linalg.svd(mat, compute_uv=False)
-        lam = np.clip(s * s / p, 0.0, None)
-        if self.measure.kind == "entropy":
-            nz = lam[lam > 1e-15]
-            return p * float(-np.sum(nz * np.log2(nz)))
-        lam_pad = np.zeros(self.d_pad)
-        lam_pad[: lam.size] = lam
-        prod = float(np.prod(lam_pad))
-        return p * (self.d_pad * prod ** (1.0 / self.d_pad) if prod > 0 else 0.0)
 
     def average(self, isos) -> float:
-        total = 0.0
-        for combo in np.ndindex(*[v.shape[0] for v in isos]):
-            mat = self.tensor
-            for i in reversed(range(len(isos))):
-                # contract helper axis i+2 with outcome vector conj(a_k)
-                mat = np.tensordot(mat, isos[i][combo[i], :].conj(), axes=([2 + i], [0]))
-            total += self._branch_value(mat)
-        return total
+        mats = (_outcome_vectors(isos).conj() @ self.tensor.T).reshape(-1, self.da, self.db)
+        p, values = self.measure.vector_branches(mats)
+        return float(np.dot(p, values))
 
 
 class _DensityEvaluator:
-    """General path through conditional_state; used for mixed global states."""
+    """Operator form: the Jamiolkowski map of a mixed global state, built once,
+    applied to the stack of rank-one outcome projectors."""
 
     def __init__(self, rho: DensityOperator, measure: RootMeasure):
-        self.rho = rho
-        self.z_labels = rho.dims.z_labels
+        a, b = self.cut = _y_cut(rho.dims)
+        measure.check_cut(rho.dims.dim_of_labels(a), rho.dims.dim_of_labels(b))
+        self.jam = from_state(rho)
+        self.y_dims = self.jam.y_dims
         self.measure = measure
-        self.cut = _y_cut(rho.dims)
 
     def average(self, isos) -> float:
-        povm = _povm_from_isometries(self.z_labels, isos)
-        return average_root_entanglement(self.rho, povm, self.measure).value
+        w = _outcome_vectors(isos)
+        q = w[:, :, None] * w[:, None, :].conj()
+        p, values = self.measure.operator_branches(self.jam.apply_physical(q),
+                                                   self.y_dims, self.cut)
+        return float(np.dot(p, values))
 
 
 def optimize_le(rho: DensityOperator, measure: RootMeasure,
@@ -273,7 +262,7 @@ def optimize_le(rho: DensityOperator, measure: RootMeasure,
     best_val = -np.inf
     best_isos = None
     total_iters = 0
-    converged = False
+    converged = False  # of the restart (or polish) that produced best_isos
     for rng in rngs:
         params = [rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
                   for k, d in zip(n_out, z_dims)]
@@ -281,6 +270,7 @@ def optimize_le(rho: DensityOperator, measure: RootMeasure,
         val = evaluator.average(isos)
         step = 0.5
         stale = 0
+        restart_converged = False
         for it in range(config.max_iters):
             total_iters += 1
             idx = it % len(params)
@@ -299,12 +289,13 @@ def optimize_le(rho: DensityOperator, measure: RootMeasure,
                 if stale % (8 * len(params)) == 0:
                     step *= 0.5
             if step < 1e-5:
-                converged = True
+                restart_converged = True
                 break
         if val > best_val:
             best_val = val
             best_isos = isos
             best_params = params
+            converged = restart_converged
 
     if config.polish and best_isos is not None:
         shapes = [p.shape for p in best_params]
@@ -329,6 +320,7 @@ def optimize_le(rho: DensityOperator, measure: RootMeasure,
         if -res.fun > best_val:
             best_val = float(-res.fun)
             best_isos = _rank1_factors(unflatten(res.x))
+            converged = bool(res.success)
 
     povm = _povm_from_isometries(z_labels, best_isos)
     result = average_root_entanglement(rho, povm, measure)

@@ -1,7 +1,8 @@
 """Bipartite root entanglement measures: entropy of entanglement, the
 two-qubit concurrence closed form, the geometric-mean concurrence family for
 pure states, and the per-outcome contraction factor of dimension-preserving
-instruments.
+instruments. ``RootMeasure`` also scores whole stacks of measurement branches
+in one batched call, from one spectrum function and one Wootters kernel.
 
 The geometric-mean concurrence for a d x d pure state is
 d * (lambda_0 ... lambda_{d-1})^(1/d) with lambda the squared Schmidt
@@ -26,7 +27,9 @@ from .states import (
 )
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 _PURITY_TOL = 1e-8
+NULL_BRANCH_TOL = 1e-14
 
 
 def _role_cut(dims: DimSpec):
@@ -59,13 +62,30 @@ def _schmidt_numbers_homogeneous(psi: PureState, cut) -> tuple[np.ndarray, int]:
     return sd.schmidt_numbers, sd.schmidt_numbers.size
 
 
+def spectrum_value(kind: str, lam: np.ndarray, d: int) -> np.ndarray:
+    """Root measure of squared Schmidt spectra, batched over the leading axes.
+
+    ``lam`` holds the squared Schmidt coefficients along its last axis, not
+    necessarily normalized. Entropy: -sum lambda log2 lambda over the
+    coefficients above 1e-15. Any other kind: the geometric-mean concurrence
+    d * (prod lambda)^(1/d), zero when fewer than d = max(d_left, d_right)
+    coefficients are given (the zero padding annihilates the product).
+    """
+    lam = np.asarray(lam, dtype=float)
+    if kind == "entropy":
+        live = lam > 1e-15
+        return -np.sum(np.where(live, lam * np.log2(np.where(live, lam, 1.0)), 0.0), axis=-1)
+    if lam.shape[-1] < d:
+        return np.zeros(lam.shape[:-1])
+    return d * np.prod(lam, axis=-1) ** (1.0 / d)
+
+
 def entropy_of_entanglement(psi: PureState, cut=None) -> float:
     """Von Neumann entropy (base-2) of the reduced state across the cut, in ebits."""
     if abs(np.linalg.norm(psi.amplitudes) - 1.0) > 1e-8 and psi.normalized:
         raise ValueError("entropy of entanglement needs a normalized state")
-    lam, _ = _schmidt_numbers_homogeneous(psi, cut)
-    lam = lam[lam > 1e-15]
-    return float(-np.sum(lam * np.log2(lam)))
+    lam, d = _schmidt_numbers_homogeneous(psi, cut)
+    return float(spectrum_value("entropy", lam, d))
 
 
 def gconcurrence_pure(psi: PureState, cut=None) -> float:
@@ -75,10 +95,15 @@ def gconcurrence_pure(psi: PureState, cut=None) -> float:
     zero when the cut dimensions differ (zero padding annihilates the product).
     """
     lam, d = _schmidt_numbers_homogeneous(psi, cut)
-    prod = float(np.prod(lam))
-    if prod <= 0.0:
-        return 0.0
-    return d * prod ** (1.0 / d)
+    return float(spectrum_value("gconcurrence", lam, d))
+
+
+def _wootters_stack(mats: np.ndarray) -> np.ndarray:
+    """Two-qubit concurrence of every matrix in a (K, 4, 4) stack."""
+    m = mats @ _YY @ mats.conj() @ _YY
+    evals = np.linalg.eigvals(m).real
+    mu = np.sqrt(np.clip(np.sort(evals, axis=-1)[..., ::-1], 0.0, None))
+    return np.maximum(0.0, mu[..., 0] - mu[..., 1] - mu[..., 2] - mu[..., 3])
 
 
 def wootters_concurrence(rho: DensityOperator, cut=None) -> float:
@@ -90,11 +115,29 @@ def wootters_concurrence(rho: DensityOperator, cut=None) -> float:
     left, right = _cut_or_default(rho.dims, cut)
     if rho.dims.dim_of_labels(left) != 2 or rho.dims.dim_of_labels(right) != 2:
         raise DimensionError("concurrence closed form requires a 2 x 2 qubit pair")
-    yy = np.kron(_SIGMA_Y, _SIGMA_Y)
-    m = rho.matrix @ yy @ rho.matrix.conj() @ yy
-    evals = np.linalg.eigvals(m).real
-    mu = np.sqrt(np.clip(np.sort(evals)[::-1], 0.0, None))
-    return float(max(0.0, mu[0] - mu[1] - mu[2] - mu[3]))
+    return float(_wootters_stack(rho.matrix[None])[0])
+
+
+def _entropy_of_rank1_stack(mats: np.ndarray, dims: DimSpec, cut) -> np.ndarray:
+    """Entropy of entanglement of a (K, d, d) stack of rank-one operators.
+
+    A member whose top eigenvalue falls short of its trace by more than the
+    purity tolerance (or that has a negative eigenvalue below -1e-8) is mixed,
+    and the entropy root is not defined there.
+    """
+    evals, evecs = np.linalg.eigh(mats)
+    traces = np.trace(mats, axis1=-2, axis2=-1).real
+    if np.any(evals[:, 0] < -1e-8) or np.any(
+            (traces <= 0) | (np.clip(evals[:, -1], 0.0, None) < traces * (1 - _PURITY_TOL))):
+        raise ValueError("entropy root is defined on pure states only; got a mixed branch")
+    left, right = cut
+    if sorted(left + right) != sorted(dims.labels):
+        raise DimensionError("cut must partition the party labels")
+    dl, dr = dims.dim_of_labels(left), dims.dim_of_labels(right)
+    axes = [0] + [a + 1 for a in dims.axes_of(left + right)]
+    vecs = evecs[:, :, -1].reshape((-1,) + dims.local_dims).transpose(axes)
+    s = np.linalg.svd(vecs.reshape(-1, dl, dr), compute_uv=False)
+    return spectrum_value("entropy", s * s, max(dl, dr))
 
 
 def f_factor(kraus_ops, d: int | None = None) -> float:
@@ -176,6 +219,11 @@ class RootMeasure:
         if self.kind not in ("entropy", "concurrence", "gconcurrence"):
             raise ValueError(f"unknown measure kind {self.kind!r}")
 
+    def check_cut(self, d_left: int, d_right: int) -> None:
+        """Raise DimensionError when this root cannot score a d_left x d_right cut."""
+        if self.kind == "concurrence" and (d_left, d_right) != (2, 2):
+            raise DimensionError("concurrence closed form requires a qubit pair")
+
     def pure(self, psi: PureState, cut=None) -> float:
         if self.kind == "entropy":
             return entropy_of_entanglement(psi, cut)
@@ -183,19 +231,12 @@ class RootMeasure:
 
     def density(self, rho: DensityOperator, cut=None) -> float:
         left, right = _cut_or_default(rho.dims, cut)
-        if self.kind == "entropy":
-            try:
-                psi = rho.as_pure(tol=_PURITY_TOL)
-            except ValueError as exc:
-                raise ValueError(
-                    "entropy root is defined on pure states only; got a mixed branch"
-                ) from exc
-            return entropy_of_entanglement(psi, (left, right))
         dl = rho.dims.dim_of_labels(left)
         dr = rho.dims.dim_of_labels(right)
-        if self.kind == "concurrence" or (dl, dr) == (2, 2):
-            if (dl, dr) != (2, 2):
-                raise DimensionError("concurrence closed form requires a qubit pair")
+        self.check_cut(dl, dr)
+        if self.kind == "entropy":
+            return float(_entropy_of_rank1_stack(rho.matrix[None], rho.dims, (left, right))[0])
+        if (dl, dr) == (2, 2):
             return wootters_concurrence(rho, (left, right))
         if rho.rank() == 1:
             return gconcurrence_pure(rho.as_pure(), (left, right))
@@ -203,6 +244,47 @@ class RootMeasure:
 
         value, _ = gconcurrence_mixed(rho, (left, right), self.roof_config)
         return value
+
+    def vector_branches(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(probabilities, values) of a (K, d_A, d_B) stack of unnormalized
+        branch coefficient matrices, rows indexing A and columns B.
+
+        Null branches (probability below 1e-14) report (0, 0).
+        """
+        s = np.linalg.svd(mats, compute_uv=False)
+        lam = s * s
+        p = np.sum(lam, axis=-1)
+        live = p >= NULL_BRANCH_TOL
+        values = spectrum_value(self.kind, lam / np.where(live, p, 1.0)[:, None],
+                                max(mats.shape[1:]))
+        return np.where(live, p, 0.0), np.where(live, values, 0.0)
+
+    def operator_branches(self, ops: np.ndarray, dims: DimSpec,
+                          cut) -> tuple[np.ndarray, np.ndarray]:
+        """(probabilities, values) of a (K, d, d) stack of unnormalized branch
+        operators on the layout ``dims``, scored across ``cut``.
+
+        Entropy and two-qubit cuts are scored in one batched call; the
+        G-concurrence of a larger mixed branch takes one roof solve each.
+        Null branches (probability below 1e-14) report (0, 0).
+        """
+        left, right = tuple(cut[0]), tuple(cut[1])
+        dl, dr = dims.dim_of_labels(left), dims.dim_of_labels(right)
+        self.check_cut(dl, dr)
+        p = np.trace(ops, axis1=-2, axis2=-1).real
+        live = p >= NULL_BRANCH_TOL
+        values = np.zeros(p.size)
+        if np.any(live):
+            kept = ops[live]
+            sigmas = 0.5 * (kept + np.conj(np.swapaxes(kept, -1, -2))) / p[live, None, None]
+            if self.kind == "entropy":
+                values[live] = _entropy_of_rank1_stack(sigmas, dims, (left, right))
+            elif (dl, dr) == (2, 2):
+                values[live] = _wootters_stack(sigmas)
+            else:
+                values[live] = [self.density(DensityOperator(s, dims), (left, right))
+                                for s in sigmas]
+        return np.where(live, p, 0.0), values
 
     def __call__(self, state, cut=None) -> float:
         if isinstance(state, PureState):

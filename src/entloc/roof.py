@@ -132,13 +132,13 @@ def gconcurrence_mixed(rho: DensityOperator, cut=None, config: RoofConfig | None
 
     rngs = [np.random.default_rng(s)
             for s in np.random.SeedSequence(config.seed).spawn(config.restarts)]
-    finals = []
-    converged = False
+    finals = []  # (value, x, converged) per restart
     for rng in rngs:
         x = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
         val = objective_x(x)
         step = 0.5
         stale = 0
+        converged = False
         for _ in range(config.max_iters):
             prop = x + step * (rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r)))
             pval = objective_x(prop)
@@ -152,17 +152,19 @@ def gconcurrence_mixed(rho: DensityOperator, cut=None, config: RoofConfig | None
             if step < 1e-3:
                 converged = True
                 break
-        finals.append((val, x))
+        finals.append((val, x, converged))
 
-    # gradient-based polish of the best few basins
+    # gradient-based polish of the best few basins; ``converged`` follows the
+    # point that is returned: the best restart, or the polish that beat it
     finals.sort(key=lambda t: t[0])
-    best_val, best_x = finals[0]
-    for val, x in finals[:3]:
+    best_val, best_x, converged = finals[0]
+    for val, x, _ in finals[:3]:
         flat0 = np.concatenate([x.real.ravel(), x.imag.ravel()])
         res = minimize(objective_flat, flat0, method="L-BFGS-B")
         if res.fun < best_val:
             best_val = float(res.fun)
             best_x = res.x[: m * r].reshape(m, r) + 1j * res.x[m * r :].reshape(m, r)
+            converged = bool(res.success)
 
     cols = w @ _isometry(best_x).T
     weights = np.linalg.norm(cols, axis=0) ** 2

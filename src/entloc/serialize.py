@@ -11,7 +11,7 @@ import numpy as np
 
 from .measures import Instrument
 from .protocols import ProtocolNode
-from .states import DimSpec, DensityOperator, PureState
+from .states import DensityOperator, DimensionError, DimSpec, PureState
 
 
 class ParseError(ValueError):
@@ -57,12 +57,18 @@ def state_from_dict(doc: dict):
         data = doc["data"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"missing or malformed state field: {exc}") from exc
+    if kind not in ("pure", "density"):
+        raise ParseError(f"unknown state kind {kind!r}")
     d = spec.total_dim
-    if kind == "pure":
-        return PureState(_decode_complex_array(data, d), spec)
-    if kind == "density":
-        return DensityOperator(_decode_complex_array(data, d * d).reshape(d, d), spec)
-    raise ParseError(f"unknown state kind {kind!r}")
+    arr = _decode_complex_array(data, d if kind == "pure" else d * d)
+    try:
+        if kind == "pure":
+            return PureState(arr, spec)
+        return DensityOperator(arr.reshape(d, d), spec)
+    except DimensionError:
+        raise
+    except ValueError as exc:  # not normalized, not Hermitian, non-finite entries
+        raise ParseError(f"invalid {kind} state: {exc}") from exc
 
 
 def save_state(state, path) -> None:

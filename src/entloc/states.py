@@ -143,6 +143,8 @@ class PureState:
             raise DimensionError(
                 f"vector length {vec.size} != total dimension {self.dims.total_dim}"
             )
+        if not np.all(np.isfinite(vec)):
+            raise ValueError("state vector has non-finite entries")
         if self.normalized and abs(np.linalg.norm(vec) - 1.0) > 1e-10:
             raise ValueError(f"state vector not normalized (norm={np.linalg.norm(vec):.3e})")
 
@@ -159,15 +161,6 @@ class PureState:
 
     def as_tensor(self) -> np.ndarray:
         return self.amplitudes.reshape(self.dims.local_dims)
-
-    def canonicalize_phase(self) -> "PureState":
-        """Make the first amplitude of nonnegligible magnitude real positive."""
-        vec = self.amplitudes
-        idx = np.flatnonzero(np.abs(vec) > 1e-12)
-        if idx.size == 0:
-            return self
-        phase = vec[idx[0]] / abs(vec[idx[0]])
-        return PureState(vec / phase, self.dims, self.normalized)
 
 
 @dataclass(frozen=True)
@@ -188,6 +181,8 @@ class DensityOperator:
         d = self.dims.total_dim
         if mat.shape != (d, d):
             raise DimensionError(f"matrix shape {mat.shape} != ({d}, {d})")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("density matrix has non-finite entries")
         if np.max(np.abs(mat - mat.conj().T)) > 1e-10:
             raise ValueError("density matrix not Hermitian within tolerance")
         if self.normalized and abs(np.trace(mat).real - 1.0) > 1e-10:

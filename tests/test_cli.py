@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from entloc import DimSpec, PureState
 from entloc.catalog import bell_state, build_locked_state, werner_state
 from entloc.cli import main
 from entloc.protocols import locked_state_protocol
-from entloc.sampling import random_density
+from entloc.sampling import random_density, random_pure
 from entloc.serialize import (
     ParseError,
     load_protocol,
@@ -50,6 +51,20 @@ class TestStateFiles:
         path.write_text("{not json")
         with pytest.raises(ParseError):
             load_state(path)
+
+    @pytest.mark.parametrize("data", [
+        [[1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],      # norm sqrt(2)
+        [[float("nan"), 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+    ])
+    def test_invalid_amplitudes(self, data, tmp_path, capsys):
+        doc = {"dims": [{"label": "A", "dim": 2, "role": "A"},
+                        {"label": "B", "dim": 2, "role": "B"}],
+               "kind": "pure", "data": data}
+        with pytest.raises(ParseError):
+            state_from_dict(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["measure", str(path)]) == 2
 
     def test_missing_field(self):
         with pytest.raises(ParseError):
@@ -119,6 +134,19 @@ class TestCli:
         save_state(bell_state(), state)
         assert main(["le", str(state), "--restarts", "2"]) == 3
 
+    def test_le_zero_restarts(self, tmp_path, capsys):
+        assert main(["emit", "ghz", "--n", "3", "--out", str(tmp_path / "g.json")]) == 0
+        assert main(["le", str(tmp_path / "g.json"), "--restarts", "0"]) == 2
+        assert "restarts" in capsys.readouterr().err
+
+    def test_le_concurrence_large_cut_exits_at_once(self, tmp_path):
+        dims = DimSpec.make(("A", 3, "A"), ("B", 3, "B"), ("C", 2, "Z"))
+        state = tmp_path / "q.json"
+        save_state(random_pure(dims, np.random.default_rng(0)), state)
+        t0 = time.perf_counter()
+        assert main(["le", str(state), "--measure", "wootters", "--restarts", "64"]) == 3
+        assert time.perf_counter() - t0 < 1.0
+
     def test_le_seed_determinism(self, tmp_path, capsys):
         assert main(["emit", "ghz", "--n", "3", "--out", str(tmp_path / "g.json")]) == 0
         capsys.readouterr()
@@ -143,9 +171,11 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["results"]["passed"] == 10
 
-    def test_emit_werner_needs_p(self, tmp_path):
-        with pytest.raises(KeyError):
-            main(["emit", "werner", "--out", str(tmp_path / "x.json")])
+    def test_emit_werner_needs_p(self, tmp_path, capsys):
+        assert main(["emit", "werner", "--out", str(tmp_path / "x.json")]) == 2
+        assert "--p" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+        assert main(["emit", "werner", "--p", "2", "--out", str(tmp_path / "x.json")]) == 2
 
     def test_reproduce_small(self, tmp_path, capsys):
         rc = main(["reproduce", "--restarts", "4", "--seed", "2",

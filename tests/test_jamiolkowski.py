@@ -75,12 +75,32 @@ def test_apply_zero():
     np.testing.assert_allclose(jam.apply(np.zeros((2, 2))), 0.0, atol=0)
 
 
+@given(seeds)
+@settings(max_examples=20, deadline=None)
+def test_stack_matches_single_applications(seed):
+    rng = np.random.default_rng(seed)
+    dims = DimSpec.make(("A", 2, "A"), ("C", 2, "Z"), ("B", int(rng.integers(2, 4)), "B"),
+                        ("D", int(rng.integers(2, 4)), "Z"))
+    jam = from_state(random_density(dims, rng, rank=int(rng.integers(1, 4))))
+    k = int(rng.integers(1, 6))
+    stack = rng.standard_normal((k, jam.d_z, jam.d_z)) + 1j * rng.standard_normal(
+        (k, jam.d_z, jam.d_z))
+    out = jam.apply(stack)
+    assert out.shape == (k, jam.d_y, jam.d_y)
+    for q, got in zip(stack, out):
+        np.testing.assert_allclose(got, jam.apply(q), atol=1e-14)
+    for q, got in zip(stack, jam.apply_physical(stack)):
+        np.testing.assert_allclose(got, jam.apply_physical(q), atol=1e-14)
+
+
 def test_dimension_mismatch():
     rng = np.random.default_rng(6)
     rho = random_density(yz_pair(), rng)
     jam = from_state(rho, y_labels=("Y",), z_labels=("Z",))
     with pytest.raises(DimensionError):
         jam.apply(np.eye(3))
+    with pytest.raises(DimensionError):
+        jam.apply(np.zeros((1, 1, 2, 2)))
 
 
 def test_partition_mismatch():

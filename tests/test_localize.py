@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,12 @@ from entloc import (
     DensityOperator,
     DimensionError,
     LEConfig,
+    NullBranchError,
     ProductPOVM,
     PureState,
     average_root_entanglement,
     concurrence_measure,
+    conditional_state,
     entropy_measure,
     gconcurrence_measure,
     grid_oracle_le,
@@ -17,6 +21,12 @@ from entloc import (
     tensor_product,
 )
 from entloc.catalog import bell_state, ghz_state, w_state
+from entloc.localize import (
+    _DensityEvaluator,
+    _PureEvaluator,
+    _povm_from_isometries,
+    _rank1_factors,
+)
 from entloc.sampling import random_density, random_povm, random_pure, spawn_rngs
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
@@ -201,3 +211,148 @@ class TestConvexity:
                 p_l, sigma_l = conditional_state(part, q)
                 rhs += (w * p_l / p_mix) * measure.density(sigma_l)
             assert measure.density(sigma_mix) <= rhs + 1e-9
+
+
+MEASURES = (entropy_measure(), concurrence_measure(), gconcurrence_measure())
+
+
+def _isometry_with_null_row(d: int, rng) -> np.ndarray:
+    """(d + 2) x d isometry whose last row is zero: an exactly null outcome."""
+    x = rng.standard_normal((d + 1, d)) + 1j * rng.standard_normal((d + 1, d))
+    return np.vstack([_rank1_factors([x])[0], np.zeros((1, d))])
+
+
+def _reference_branches(rho, povm, measure):
+    """Per-outcome loop: conditional_state, then RootMeasure.density."""
+    cut = (rho.dims.a_labels, rho.dims.b_labels)
+    out = []
+    for k in range(povm.n_outcomes):
+        try:
+            p, sigma = conditional_state(rho, povm.element(k))
+        except NullBranchError:
+            out.append((0.0, 0.0))
+            continue
+        out.append((p, measure.density(sigma, cut)))
+    return out
+
+
+def _sweep_cases():
+    """1-2 helpers of dimension 2-3, global ranks 1-3, every root, 2x2 and
+    2x3 cuts; each helper POVM has one exactly null outcome."""
+    for i, rng in enumerate(spawn_rngs(2024, 36)):
+        helpers = [int(rng.integers(2, 4)) for _ in range(1 + i % 2)]
+        rank = 1 + (i // 2) % 3
+        d_b = 3 if rank == 1 and i % 4 == 1 else 2  # larger cuts on pure states only
+        dims = DimSpec.make(("A", 2, "A"), ("B", d_b, "B"),
+                            *[(f"Z{j}", d, "Z") for j, d in enumerate(helpers)])
+        rho = random_density(dims, rng, rank=rank)
+        isos = [_isometry_with_null_row(d, rng) for d in helpers]
+        yield i, rho, rank, isos, MEASURES[(i // 6) % 3]
+
+
+class TestBatchedEngine:
+    """The batched branch engine against the per-outcome reference loop."""
+
+    @pytest.mark.parametrize("case", list(_sweep_cases()), ids=lambda c: f"case{c[0]}")
+    def test_matches_per_branch_reference(self, case):
+        _, rho, rank, isos, measure = case
+        povm = _povm_from_isometries(rho.dims.z_labels, isos)
+        d_a = rho.dims.dim_of_labels(rho.dims.a_labels)
+        d_b = rho.dims.dim_of_labels(rho.dims.b_labels)
+
+        def evaluator():
+            if rank == 1:
+                return _PureEvaluator(rho.as_pure(), measure)
+            return _DensityEvaluator(rho, measure)
+
+        if measure.kind == "concurrence" and (d_a, d_b) != (2, 2):
+            for call in (lambda: _reference_branches(rho, povm, measure),
+                         lambda: average_root_entanglement(rho, povm, measure),
+                         evaluator):
+                with pytest.raises(DimensionError):
+                    call()
+            return
+        if measure.kind == "entropy" and rank > 1:
+            for call in (lambda: _reference_branches(rho, povm, measure),
+                         lambda: average_root_entanglement(rho, povm, measure),
+                         lambda: evaluator().average(isos)):
+                with pytest.raises(ValueError, match="pure states only"):
+                    call()
+            return
+        ref = _reference_branches(rho, povm, measure)
+        # the reference scores a 2x2 branch with the Wootters formula, whose
+        # square roots carry ~1e-8 of rounding on rank-deficient branches
+        wootters = measure.kind != "entropy" and (d_a, d_b) == (2, 2)
+        tol = 1e-7 if wootters else 1e-12
+        ref_value = sum(p * v for p, v in ref)
+        res = average_root_entanglement(rho, povm, measure)
+        assert res.branches[-1] == (0.0, 0.0)
+        assert len(res.branches) == len(ref)
+        for (p, v), (p_ref, v_ref) in zip(res.branches, ref):
+            assert p == pytest.approx(p_ref, abs=1e-12)
+            assert v == pytest.approx(v_ref, abs=tol)
+        assert res.value == pytest.approx(ref_value, abs=tol)
+        assert evaluator().average(isos) == pytest.approx(ref_value, abs=tol)
+        if rank == 1:
+            # the vector form scores pure branches by their Schmidt spectrum,
+            # so the pure-state measure of each branch is an exact reference
+            exact = sum(p * measure.pure(sigma.as_pure()) for p, sigma in
+                        (conditional_state(rho, povm.element(k))
+                         for k in range(povm.n_outcomes) if ref[k][0] > 0))
+            assert evaluator().average(isos) == pytest.approx(exact, abs=1e-12)
+
+    def test_vector_form_outcome_order(self):
+        # two helpers: outcome k of the vector form is combo k of np.ndindex
+        rng = np.random.default_rng(8)
+        rho = random_pure(DimSpec.make(("A", 2, "A"), ("B", 2, "B"),
+                                       ("C", 2, "Z"), ("D", 3, "Z")), rng)
+        isos = [_rank1_factors([rng.standard_normal((k, d)) + 0j])[0]
+                for k, d in ((3, 2), (4, 3))]
+        povm = _povm_from_isometries(("C", "D"), isos)
+        measure = entropy_measure()
+        want = sum(p * v for p, v in _reference_branches(rho.to_density(), povm, measure))
+        assert _PureEvaluator(rho, measure).average(isos) == pytest.approx(want, abs=1e-12)
+
+
+class TestFailFast:
+    # the budget makes a full ascent take seconds, so a late raise shows
+    BIG = LEConfig(restarts=64, max_iters=300)
+
+    def _qutrit_pair(self):
+        dims = DimSpec.make(("A", 3, "A"), ("B", 3, "B"), ("C", 2, "Z"))
+        return random_pure(dims, np.random.default_rng(0)).to_density()
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_concurrence_root_on_large_cut(self, mixed):
+        rho = self._qutrit_pair()
+        if mixed:
+            rho = random_density(rho.dims, np.random.default_rng(1), rank=2)
+        t0 = time.perf_counter()
+        with pytest.raises(DimensionError):
+            optimize_le(rho, concurrence_measure(), self.BIG)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_average_rejects_before_scoring(self):
+        povm = ProductPOVM.single_party("C", (P0, P1))
+        with pytest.raises(DimensionError):
+            average_root_entanglement(self._qutrit_pair(), povm, concurrence_measure())
+
+
+class TestConfig:
+    @pytest.mark.parametrize("kwargs", [dict(restarts=0), dict(restarts=-1),
+                                        dict(max_iters=-1)])
+    def test_bad_budget_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            LEConfig(**kwargs)
+
+    def test_zero_iterations_allowed(self):
+        res = optimize_le(ghz_state(3).to_density(), entropy_measure(),
+                          LEConfig(restarts=2, max_iters=0, polish=False))
+        assert res.iterations == 0
+        assert not res.converged
+
+    def test_flat_landscape_converges(self):
+        # no proposal ever improves, so every restart shrinks its step to the end
+        res = optimize_le(bell_with_idle_helper(), entropy_measure(),
+                          LEConfig(restarts=3, max_iters=300))
+        assert res.converged

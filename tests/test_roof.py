@@ -78,3 +78,12 @@ def test_seed_determinism():
     v1, _ = gconcurrence_mixed(rho, config=FAST)
     v2, _ = gconcurrence_mixed(rho, config=FAST)
     assert v1 == v2
+
+
+@pytest.mark.parametrize("seed", [100, 101, 102])
+def test_converged_flag_follows_returned_point(seed):
+    # the polish wins on these states; no random-search restart converges
+    rho = random_density(PAIR, np.random.default_rng(seed), rank=3)
+    value, ens = gconcurrence_mixed(rho)
+    assert value == pytest.approx(wootters_concurrence(rho), abs=1e-7)
+    assert ens.converged

@@ -49,6 +49,25 @@ class TestDimSpec:
             DimSpec.make(("A", 2, "Q"))
 
 
+class TestNonFinite:
+    PAIR = DimSpec.make(("A", 2, "A"), ("B", 2, "B"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_pure_rejected(self, bad):
+        vec = np.array([1.0, 0.0, 0.0, bad], dtype=complex)
+        with pytest.raises(ValueError, match="non-finite"):
+            PureState(vec, self.PAIR)
+        with pytest.raises(ValueError, match="non-finite"):
+            PureState(vec, self.PAIR, normalized=False)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_density_rejected(self, bad):
+        mat = np.eye(4, dtype=complex) / 4
+        mat[3, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityOperator(mat, self.PAIR)
+
+
 class TestTensorProduct:
     def test_basis_kets(self):
         a = ket(0, 2, DimSpec.make(("A", 2, "A")))
