@@ -1,6 +1,6 @@
-"""Explicit test states: the 8x4x2 locked tripartite state with its key
-unitaries, and the usual canonical states (Bell pairs, the 4x4 maximally
-entangled state, GHZ, W, Werner).
+"""Explicit test states: the 2x4x4x2 locked state (parties a, A, B, C) with
+its key unitaries, and the usual canonical states (Bell pairs, the 4x4
+maximally entangled state, GHZ, W, Werner).
 
 The locked state encodes a classical bit y in Charlie's qubit behind one of
 two scrambling unitaries V_x keyed by Alice's ancilla qubit a, with a 4x4

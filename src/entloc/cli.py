@@ -5,7 +5,8 @@ entanglement ascent), ``protocol`` (evaluate a protocol file), ``reproduce``
 (the locked-state comparison table), ``properties`` (seeded invariant
 suites), ``emit`` (write catalog states to the JSON format).
 
-Exit codes: 0 ok, 1 property violation, 2 parse error, 3 dimension error.
+Exit codes: 0 ok, 1 property violation, 2 bad input (a parse error, or the
+entropy root asked to score a mixed state), 3 dimension error.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .localize import LEConfig, average_root_entanglement, optimize_le
 from .measures import (
     DimensionError,
     Instrument,
+    MixedBranchError,
     concurrence_measure,
     entropy_measure,
     f_factor,
@@ -352,7 +354,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, MixedBranchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DimensionError as exc:

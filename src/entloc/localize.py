@@ -17,6 +17,7 @@ from scipy.optimize import minimize
 
 from .jamiolkowski import from_state
 from .measures import RootMeasure
+from .sampling import phase_fixed_qr
 from .states import DensityOperator, DimSpec, DimensionError, PureState
 
 
@@ -159,12 +160,7 @@ def average_root_entanglement(rho: DensityOperator, povm: ProductPOVM,
 
 def _rank1_factors(params: list[np.ndarray]) -> list[np.ndarray]:
     """Per-party isometries (K x d, orthonormal columns) from raw Gaussians."""
-    isos = []
-    for x in params:
-        q, r = np.linalg.qr(x)
-        diag = np.where(np.abs(np.diagonal(r)) < 1e-14, 1.0, np.diagonal(r))
-        isos.append(q * (diag / np.abs(diag)))
-    return isos
+    return [phase_fixed_qr(x)[0] for x in params]
 
 
 def _outcome_vectors(isos) -> np.ndarray:

@@ -32,6 +32,10 @@ _PURITY_TOL = 1e-8
 NULL_BRANCH_TOL = 1e-14
 
 
+class MixedBranchError(ValueError):
+    """A root measure defined on pure states only (entropy) met a mixed state."""
+
+
 def _role_cut(dims: DimSpec):
     dims.require_bipartite_roles()
     if dims.z_labels:
@@ -129,7 +133,7 @@ def _entropy_of_rank1_stack(mats: np.ndarray, dims: DimSpec, cut) -> np.ndarray:
     traces = np.trace(mats, axis1=-2, axis2=-1).real
     if np.any(evals[:, 0] < -1e-8) or np.any(
             (traces <= 0) | (np.clip(evals[:, -1], 0.0, None) < traces * (1 - _PURITY_TOL))):
-        raise ValueError("entropy root is defined on pure states only; got a mixed branch")
+        raise MixedBranchError("entropy root is defined on pure states only; got a mixed branch")
     left, right = cut
     if sorted(left + right) != sorted(dims.labels):
         raise DimensionError("cut must partition the party labels")

@@ -28,22 +28,31 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2)
 
 
+def phase_fixed_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced QR of a matrix or a (..., rows, cols) stack with R's diagonal
+    real and positive.
+
+    The phase fix makes the factorization unique, so Q is a smooth function
+    of x and a Ginibre x gives a Haar-distributed Q. A diagonal entry below
+    1e-14 in modulus (rank-deficient x) keeps its phase.
+    """
+    q, r = np.linalg.qr(x)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    phase = np.where(np.abs(diag) < 1e-14, 1.0, diag)
+    phase = phase / np.abs(phase)
+    return q * phase[..., None, :], r * phase.conj()[..., :, None]
+
+
 def random_unitary(d: int, rng) -> np.ndarray:
     """Haar-random d x d unitary via QR of a Ginibre matrix with phase fix."""
-    rng = as_rng(rng)
-    q, r = np.linalg.qr(_ginibre(rng, d, d))
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    return phase_fixed_qr(_ginibre(as_rng(rng), d, d))[0]
 
 
 def random_isometry(rows: int, cols: int, rng) -> np.ndarray:
     """rows x cols matrix with orthonormal columns (rows >= cols)."""
     if rows < cols:
         raise ValueError(f"isometry needs rows >= cols, got {rows} x {cols}")
-    rng = as_rng(rng)
-    q, r = np.linalg.qr(_ginibre(rng, rows, cols))
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    return phase_fixed_qr(_ginibre(as_rng(rng), rows, cols))[0]
 
 
 def _pair_spec(d: int) -> DimSpec:

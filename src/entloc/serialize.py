@@ -55,7 +55,9 @@ def state_from_dict(doc: dict):
         spec = DimSpec.make(*[(p["label"], int(p["dim"]), p["role"]) for p in doc["dims"]])
         kind = doc["kind"]
         data = doc["data"]
-    except (KeyError, TypeError) as exc:
+    except DimensionError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"missing or malformed state field: {exc}") from exc
     if kind not in ("pure", "density"):
         raise ParseError(f"unknown state kind {kind!r}")
@@ -112,9 +114,16 @@ def protocol_from_dict(doc: dict | None) -> ProtocolNode | None:
             for kraus in doc["instrument"]
         )
         children = tuple(protocol_from_dict(c) for c in doc["children"])
-    except (KeyError, TypeError) as exc:
+    except (ParseError, DimensionError):  # already classified: a bad array or child node
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed protocol node: {exc}") from exc
-    return ProtocolNode(party, Instrument(party, outcomes), children)
+    try:
+        return ProtocolNode(party, Instrument(party, outcomes), children)
+    except DimensionError:
+        raise
+    except ValueError as exc:  # not trace preserving, no Kraus operators, child count
+        raise ParseError(f"invalid protocol node: {exc}") from exc
 
 
 def load_protocol(path) -> ProtocolNode | None:

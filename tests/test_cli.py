@@ -3,8 +3,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from entloc import DimSpec, PureState
+from entloc import DimensionError, DimSpec, PureState
 from entloc.catalog import bell_state, build_locked_state, werner_state
 from entloc.cli import main
 from entloc.protocols import locked_state_protocol
@@ -165,6 +166,25 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["results"]["average"] == pytest.approx(2.0, abs=1e-9)
 
+    def test_protocol_not_trace_preserving_exits_2(self, tmp_path, capsys):
+        state = tmp_path / "locked.json"
+        proto = tmp_path / "bad.json"
+        save_state(build_locked_state(), state)
+        doc = protocol_to_dict(locked_state_protocol())
+        doc["instrument"][0][0][0] = [2.0, 0.0]
+        proto.write_text(json.dumps(doc))
+        assert main(["protocol", str(state), str(proto)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "trace preserving" in err
+
+    def test_le_entropy_on_mixed_state_exits_2(self, tmp_path, capsys):
+        dims = DimSpec.make(("A", 2, "A"), ("B", 2, "B"), ("C", 2, "Z"))
+        state = tmp_path / "mixed.json"
+        save_state(random_density(dims, np.random.default_rng(3), rank=2), state)
+        assert main(["le", str(state), "--measure", "entropy", "--restarts", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "pure states only" in err
+
     def test_properties_suite_passes(self, capsys):
         assert main(["properties", "--suite", "jamio", "--trials", "10",
                      "--seed", "0"]) == 0
@@ -187,3 +207,56 @@ class TestCli:
         assert table["LE(entropy)"] < 2.0
         assert table["EoC(G)"] == 0.0
         assert table["LE(G)"] == pytest.approx(0.0, abs=1e-12)
+
+
+_JSON_LEAF = (st.none() | st.booleans() | st.integers(-3, 5)
+              | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=4))
+_JSON = st.recursive(_JSON_LEAF,
+                     lambda inner: st.lists(inner, max_size=4)
+                     | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+                     max_leaves=12)
+_DIM = st.one_of(st.integers(-1, 3), st.floats(allow_nan=True), st.text(max_size=2))
+_ENTRIES = st.lists(st.one_of(
+    st.tuples(st.floats(-2, 2), st.floats(-2, 2)).map(list),
+    st.tuples(st.floats(allow_nan=True, allow_infinity=True), st.floats()).map(list),
+    _JSON), max_size=10)
+_STATE_DOCS = st.one_of(_JSON, st.fixed_dictionaries({
+    "dims": st.one_of(st.lists(st.fixed_dictionaries({
+        "label": st.one_of(st.sampled_from(["A", "B", "C"]), _JSON_LEAF),
+        "dim": _DIM,
+        "role": st.one_of(st.sampled_from(["A", "B", "Z", "Q"]), _JSON_LEAF),
+    }), max_size=3), _JSON),
+    "kind": st.one_of(st.sampled_from(["pure", "density", "mixed"]), _JSON_LEAF),
+    "data": st.one_of(_ENTRIES, _JSON),
+}))
+_PROTOCOL_DOCS = st.recursive(
+    st.one_of(_JSON, st.fixed_dictionaries({
+        "party": st.one_of(st.sampled_from(["A", "C"]), _JSON_LEAF),
+        "dim": _DIM,
+        "instrument": st.one_of(st.lists(st.lists(_ENTRIES, max_size=2), max_size=2), _JSON),
+        "children": st.one_of(st.lists(st.none(), max_size=2), _JSON),
+    })),
+    lambda inner: st.fixed_dictionaries({
+        "party": st.just("C"), "dim": st.just(1),
+        "instrument": st.just([[[[1.0, 0.0]]]]),
+        "children": st.lists(inner, min_size=1, max_size=1),
+    }),
+    max_leaves=3)
+
+
+class TestFuzzedDocuments:
+    @settings(max_examples=300, deadline=None)
+    @given(_STATE_DOCS)
+    def test_state_from_dict(self, doc):
+        try:
+            state_from_dict(doc)
+        except (ParseError, DimensionError):
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(_PROTOCOL_DOCS)
+    def test_protocol_from_dict(self, doc):
+        try:
+            protocol_from_dict(doc)
+        except (ParseError, DimensionError):
+            pass

@@ -10,6 +10,7 @@ from entloc import (
     wootters_concurrence,
 )
 from entloc.catalog import werner_state
+from entloc.roof import _ensemble_stack, _objective, _objective_and_gradient, _random_search
 from entloc.sampling import random_density, random_pure
 
 PAIR = DimSpec.make(("A", 2, "A"), ("B", 2, "B"))
@@ -87,3 +88,82 @@ def test_converged_flag_follows_returned_point(seed):
     value, ens = gconcurrence_mixed(rho)
     assert value == pytest.approx(wootters_concurrence(rho), abs=1e-7)
     assert ens.converged
+
+
+def _ensemble_factor(rho):
+    evals, evecs = rho.eigensystem()
+    mask = evals > 1e-12
+    return evecs[:, mask] * np.sqrt(evals[mask])
+
+
+@pytest.mark.parametrize("d,rank", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
+def test_gradient_matches_central_differences(d, rank):
+    spec = DimSpec.make(("A", d, "A"), ("B", d, "B"))
+    rng = np.random.default_rng(10 * d + rank)
+    w = _ensemble_factor(random_density(spec, rng, rank=rank))
+    m = rank + 2
+    x = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
+    mats = _ensemble_stack(x, w, d)[2]
+    assert np.all(np.abs(np.linalg.det(mats)) > 1e-6)  # away from the det = 0 cusp
+    value, grad = _objective_and_gradient(x, w, d)
+    assert value == pytest.approx(float(_objective(x, w, d)), abs=1e-14)
+    h = 1e-6
+    numeric = np.zeros_like(grad)
+    for idx in np.ndindex(x.shape):
+        for unit in (1.0, 1j):
+            step = np.zeros_like(x)
+            step[idx] = h * unit
+            slope = (_objective(x + step, w, d) - _objective(x - step, w, d)) / (2 * h)
+            numeric[idx] += slope * unit
+    np.testing.assert_allclose(grad, numeric, atol=1e-8, rtol=0)
+
+
+def _reference_search(w, d, m, config):
+    """The random search run one restart at a time."""
+    r = w.shape[1]
+    finals = []
+    for seed in np.random.SeedSequence(config.seed).spawn(config.restarts):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
+        val = _objective(x, w, d)
+        step, stale, converged = 0.5, 0, False
+        for _ in range(config.max_iters):
+            prop = x + step * (rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r)))
+            pval = _objective(prop, w, d)
+            if pval < val - 1e-12:
+                x, val, stale = prop, pval, 0
+            else:
+                stale += 1
+                if stale % 20 == 0:
+                    step *= 0.6
+            if step < 1e-3:
+                converged = True
+                break
+        finals.append((val, x, converged))
+    return finals
+
+
+@pytest.mark.parametrize("d,rank", [(2, 2), (3, 2)])
+def test_lockstep_search_matches_per_restart_loop(d, rank):
+    spec = DimSpec.make(("A", d, "A"), ("B", d, "B"))
+    w = _ensemble_factor(random_density(spec, np.random.default_rng(5), rank=rank))
+    config = RoofConfig(restarts=6, max_iters=500, seed=8)
+    vals, xs, flags = _random_search(w, d, rank + 2, config)
+    assert flags.any()  # restarts drop out of the lockstep at different iterations
+    finals = _reference_search(w, d, rank + 2, config)
+    for val, x, flag, (ref_val, ref_x, ref_flag) in zip(vals, xs, flags, finals):
+        assert val == pytest.approx(ref_val, abs=1e-12)
+        np.testing.assert_allclose(x, ref_x, atol=1e-12, rtol=0)
+        assert flag == ref_flag
+
+
+def test_seed_determinism_3x3():
+    spec = DimSpec.make(("A", 3, "A"), ("B", 3, "B"))
+    rho = random_density(spec, np.random.default_rng(12), rank=3)
+    v1, e1 = gconcurrence_mixed(rho, config=FAST)
+    v2, e2 = gconcurrence_mixed(rho, config=FAST)
+    assert v1 == v2
+    assert e1.converged == e2.converged
+    np.testing.assert_array_equal(e1.weights, e2.weights)
+    for s1, s2 in zip(e1.states, e2.states):
+        np.testing.assert_array_equal(s1.amplitudes, s2.amplitudes)
