@@ -102,19 +102,37 @@ def gconcurrence_pure(psi: PureState, cut=None) -> float:
     return float(spectrum_value("gconcurrence", lam, d))
 
 
+def _takagi_stack(factors: np.ndarray) -> np.ndarray:
+    """Takagi matrices tau_k = F_k^T (sy ⊗ sy) F_k of a (K, 4, r) stack of
+    factors of two-qubit operators rho_k = F_k F_k^dag."""
+    return np.swapaxes(factors, -1, -2) @ _YY @ factors
+
+
+def _wootters_from_factors(factors: np.ndarray) -> np.ndarray:
+    """Two-qubit concurrence of rho_k = F_k F_k^dag for a (K, 4, r) factor stack.
+
+    The square roots of the eigenvalues of rho (sy ⊗ sy) rho* (sy ⊗ sy) are
+    the singular values s of the Takagi matrix, so C = max(0, s_1 - s_2 -
+    ...). Homogeneous of degree one in rho: an unnormalized factor gives
+    p C(rho / p).
+    """
+    s = np.linalg.svd(_takagi_stack(factors), compute_uv=False)
+    return np.maximum(0.0, s[..., 0] - np.sum(s[..., 1:], axis=-1))
+
+
 def _wootters_stack(mats: np.ndarray) -> np.ndarray:
-    """Two-qubit concurrence of every matrix in a (K, 4, 4) stack."""
-    m = mats @ _YY @ mats.conj() @ _YY
-    evals = np.linalg.eigvals(m).real
-    mu = np.sqrt(np.clip(np.sort(evals, axis=-1)[..., ::-1], 0.0, None))
-    return np.maximum(0.0, mu[..., 0] - mu[..., 1] - mu[..., 2] - mu[..., 3])
+    """Two-qubit concurrence of every matrix in a (K, 4, 4) stack, from its
+    eigen-factor."""
+    evals, evecs = np.linalg.eigh(mats)
+    return _wootters_from_factors(evecs * np.sqrt(np.clip(evals, 0.0, None))[..., None, :])
 
 
 def wootters_concurrence(rho: DensityOperator, cut=None) -> float:
     """Two-qubit concurrence closed form.
 
     max(0, mu_1 - mu_2 - mu_3 - mu_4) with mu_i the decreasing square roots of
-    the eigenvalues of rho (sy ⊗ sy) rho* (sy ⊗ sy).
+    the eigenvalues of rho (sy ⊗ sy) rho* (sy ⊗ sy), taken as the singular
+    values of the Takagi matrix of rho's eigen-factor.
     """
     left, right = _cut_or_default(rho.dims, cut)
     if rho.dims.dim_of_labels(left) != 2 or rho.dims.dim_of_labels(right) != 2:
@@ -288,6 +306,29 @@ class RootMeasure:
             else:
                 values[live] = [self.density(DensityOperator(s, dims), (left, right))
                                 for s in sigmas]
+        return np.where(live, p, 0.0), values
+
+    def factor_branches(self, factors: np.ndarray, dims: DimSpec,
+                        cut) -> tuple[np.ndarray, np.ndarray]:
+        """(probabilities, values) of a (K, d, r) stack of branch factors, the
+        branch of outcome k being F_k F_k^dag on the layout ``dims``, whose
+        parties run left then right across ``cut``.
+
+        Rank one (r = 1) is the vector form. On a two-qubit cut the
+        concurrence and G go to the Wootters kernel on the factors, with no
+        eigendecomposition; anything else is scored as operators. Null
+        branches (probability below 1e-14) report (0, 0).
+        """
+        dl, dr = dims.dim_of_labels(cut[0]), dims.dim_of_labels(cut[1])
+        if factors.shape[-1] == 1:
+            return self.vector_branches(factors.reshape(-1, dl, dr))
+        if self.kind == "entropy" or (dl, dr) != (2, 2):
+            ops = factors @ np.conj(np.swapaxes(factors, -1, -2))
+            return self.operator_branches(ops, dims, cut)
+        p = np.sum(np.abs(factors) ** 2, axis=(-2, -1))
+        live = p >= NULL_BRANCH_TOL
+        values = np.zeros(p.size)
+        values[live] = _wootters_from_factors(factors[live]) / p[live]
         return np.where(live, p, 0.0), values
 
     def __call__(self, state, cut=None) -> float:

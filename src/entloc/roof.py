@@ -26,11 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.optimize import minimize
 
 from .measures import _cut_or_default
-from .sampling import phase_fixed_qr
+from .sampling import phase_fixed_qr, phase_fixed_qr_backward
 from .states import DensityOperator, DimSpec, PureState
 
 
@@ -41,18 +40,7 @@ class RoofConfig:
     ensemble_size: int | None = None
     restarts: int = 32
     max_iters: int = 400
-    tol: float = 1e-9
     seed: int = 0
-
-    @staticmethod
-    def from_dict(doc: dict) -> "RoofConfig":
-        return RoofConfig(
-            ensemble_size=doc.get("ensemble_size"),
-            restarts=int(doc.get("restarts", 32)),
-            max_iters=int(doc.get("max_iters", 400)),
-            tol=float(doc.get("tol", 1e-9)),
-            seed=int(doc.get("seed", 0)),
-        )
 
 
 @dataclass(frozen=True)
@@ -90,9 +78,7 @@ def _objective_and_gradient(x: np.ndarray, w: np.ndarray, d: int):
 
     The chain: G_C = 2 |det C|^(2/d) C^-H (0 where det C = 0); G_Q = G_C
     flattened against conj(w); then the backward pass of the phase-fixed QR
-    x = Q R (R with real positive diagonal), with M = Q^H G_Q and
-    N = tril(M, -1) - tril(M^H, -1) + i diag(Im M):
-    G_x = [Q N + (I - Q Q^H) G_Q] R^-H.
+    x = Q R (``phase_fixed_qr_backward``).
     """
     q, r, mats = _ensemble_stack(x, w, d)
     det = np.linalg.det(mats)
@@ -101,11 +87,7 @@ def _objective_and_gradient(x: np.ndarray, w: np.ndarray, d: int):
     live = det != 0
     g_c[live] = 2.0 * a[live, None, None] * np.linalg.inv(mats[live]).conj().swapaxes(-1, -2)
     g_q = g_c.reshape(q.shape[0], -1) @ w.conj()
-    mq = q.conj().T @ g_q
-    skew = np.tril(mq, -1) - np.tril(mq.conj().T, -1) + 1j * np.diag(np.diag(mq).imag)
-    # G_x R^H = Q (N - M) + G_Q, solved as R G_x^H = (...)^H
-    g_x = solve_triangular(r, (q @ (skew - mq) + g_q).conj().T).conj().T
-    return d * float(np.sum(a)), g_x
+    return d * float(np.sum(a)), phase_fixed_qr_backward(q, r, g_q)
 
 
 def _random_search(w: np.ndarray, d: int, m: int, config: RoofConfig):

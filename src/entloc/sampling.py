@@ -8,6 +8,7 @@ touches global RNG state.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .states import DimSpec, DensityOperator, PureState, ROLE_A, ROLE_B
 
@@ -41,6 +42,20 @@ def phase_fixed_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     phase = np.where(np.abs(diag) < 1e-14, 1.0, diag)
     phase = phase / np.abs(phase)
     return q * phase[..., None, :], r * phase.conj()[..., :, None]
+
+
+def phase_fixed_qr_backward(q: np.ndarray, r: np.ndarray, g_q: np.ndarray) -> np.ndarray:
+    """Carry a gradient through one phase-fixed QR x = Q R (x tall, Q and R
+    from ``phase_fixed_qr``).
+
+    Gradients are complex, G = df/dRe + i df/dIm of a real f. With
+    M = Q^H G_Q and N = tril(M, -1) - tril(M^H, -1) + i diag(Im M), the
+    gradient with respect to x is G_x = [Q N + (I - Q Q^H) G_Q] R^-H.
+    """
+    mq = q.conj().T @ g_q
+    skew = np.tril(mq, -1) - np.tril(mq.conj().T, -1) + 1j * np.diag(np.diag(mq).imag)
+    # G_x R^H = Q (N - M) + G_Q, solved as R G_x^H = (...)^H
+    return solve_triangular(r, (q @ (skew - mq) + g_q).conj().T).conj().T
 
 
 def random_unitary(d: int, rng) -> np.ndarray:

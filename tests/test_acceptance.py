@@ -103,8 +103,8 @@ def test_criterion_3_monotone_root():
                                                seed=int(rng.integers(2**31))))
         worst = max(worst, gap)
     elapsed = time.perf_counter() - t0
-    ok = worst <= 2e-3 and elapsed < 600.0
-    _report(3, ok, f"max gap over 100 trials = {worst:+.2e} <= 2e-3, {elapsed:.0f}s")
+    ok = worst <= 1e-6 and elapsed < 600.0
+    _report(3, ok, f"max gap over 100 trials = {worst:+.2e} <= 1e-6, {elapsed:.0f}s")
 
 
 def test_criterion_4_kraus_bound():

@@ -157,6 +157,21 @@ class TestCli:
             outs.append(json.loads(capsys.readouterr().out)["results"])
         assert outs[0] == outs[1]
 
+    def test_le_payload_byte_identical(self, tmp_path, capsys):
+        dims = DimSpec.make(("A", 2, "A"), ("B", 2, "B"), ("C", 3, "Z"))
+        state = tmp_path / "s.json"
+        save_state(random_pure(dims, np.random.default_rng(3)), state)
+        payloads = []
+        for i in range(2):
+            out = tmp_path / f"le{i}.json"
+            assert main(["le", str(state), "--measure", "wootters", "--restarts", "2",
+                         "--max-iters", "50", "--seed", "7", "--out", str(out)]) == 0
+            payloads.append(out.read_bytes())
+        assert payloads[0] == payloads[1]
+        results = json.loads(payloads[0])["results"]
+        # the ascent's evaluations (one per restart start and iteration) and the polish's
+        assert results["evaluations"] > 2 + results["iterations"]
+
     def test_protocol_command(self, tmp_path, capsys):
         state = tmp_path / "locked.json"
         proto = tmp_path / "proto.json"

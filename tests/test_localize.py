@@ -22,8 +22,7 @@ from entloc import (
 )
 from entloc.catalog import bell_state, ghz_state, w_state
 from entloc.localize import (
-    _DensityEvaluator,
-    _PureEvaluator,
+    _FactorEvaluator,
     _povm_from_isometries,
     _rank1_factors,
 )
@@ -261,9 +260,7 @@ class TestBatchedEngine:
         d_b = rho.dims.dim_of_labels(rho.dims.b_labels)
 
         def evaluator():
-            if rank == 1:
-                return _PureEvaluator(rho.as_pure(), measure)
-            return _DensityEvaluator(rho, measure)
+            return _FactorEvaluator(rho, measure)
 
         if measure.kind == "concurrence" and (d_a, d_b) != (2, 2):
             for call in (lambda: _reference_branches(rho, povm, measure),
@@ -280,10 +277,7 @@ class TestBatchedEngine:
                     call()
             return
         ref = _reference_branches(rho, povm, measure)
-        # the reference scores a 2x2 branch with the Wootters formula, whose
-        # square roots carry ~1e-8 of rounding on rank-deficient branches
-        wootters = measure.kind != "entropy" and (d_a, d_b) == (2, 2)
-        tol = 1e-7 if wootters else 1e-12
+        tol = 1e-12
         ref_value = sum(p * v for p, v in ref)
         res = average_root_entanglement(rho, povm, measure)
         assert res.branches[-1] == (0.0, 0.0)
@@ -311,7 +305,8 @@ class TestBatchedEngine:
         povm = _povm_from_isometries(("C", "D"), isos)
         measure = entropy_measure()
         want = sum(p * v for p, v in _reference_branches(rho.to_density(), povm, measure))
-        assert _PureEvaluator(rho, measure).average(isos) == pytest.approx(want, abs=1e-12)
+        assert _FactorEvaluator(rho.to_density(), measure).average(isos) == pytest.approx(
+            want, abs=1e-12)
 
 
 class TestFailFast:
@@ -356,3 +351,81 @@ class TestConfig:
         res = optimize_le(bell_with_idle_helper(), entropy_measure(),
                           LEConfig(restarts=3, max_iters=300))
         assert res.converged
+
+
+def _gradient_cases():
+    """Every root with a closed-form gradient: pure states on 2x2, 2x3 and
+    3x3 cuts (concurrence on 2x2 only), mixed 2x2 states of rank 2, 3, 5;
+    one or two helpers."""
+    cases = []
+    for measure in MEASURES:
+        for cut in ((2, 2), (2, 3), (3, 3)):
+            if measure.kind != "concurrence" or cut == (2, 2):
+                cases += [(measure, cut, helpers, 1) for helpers in ((2,), (2, 3))]
+    for measure in MEASURES[1:]:
+        for rank in (2, 3, 5):
+            cases += [(measure, (2, 2), helpers, rank) for helpers in ((2,), (2, 2))]
+    return cases
+
+
+@pytest.mark.parametrize(
+    "seed,case", list(enumerate(_gradient_cases())),
+    ids=lambda c: (f"{c[0].kind}-{c[1][0]}x{c[1][1]}-z{''.join(map(str, c[2]))}-r{c[3]}"
+                   if isinstance(c, tuple) else str(c)))
+def test_evaluator_gradient_matches_central_differences(seed, case, central_gradient):
+    measure, (d_a, d_b), helpers, rank = case
+    rng = np.random.default_rng(300 + seed)
+    dims = DimSpec.make(("A", d_a, "A"), ("B", d_b, "B"),
+                        *[(f"Z{j}", d, "Z") for j, d in enumerate(helpers)])
+    evaluator = _FactorEvaluator(random_density(dims, rng, rank=rank), measure)
+    assert evaluator.r == rank and evaluator.exact_gradient
+    params = [rng.standard_normal((d + 1, d)) + 1j * rng.standard_normal((d + 1, d))
+              for d in helpers]
+    value, grads = evaluator.average_and_gradient(params)
+    assert value == pytest.approx(evaluator.average(_rank1_factors(params)), abs=1e-12)
+    for j, x in enumerate(params):
+        def average(y, j=j):
+            return evaluator.average(_rank1_factors(params[:j] + [y] + params[j + 1:]))
+
+        np.testing.assert_allclose(grads[j], central_gradient(average, x), atol=1e-8, rtol=0)
+
+
+SIGMA_YY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+
+
+class TestPolish:
+    @pytest.mark.parametrize("measure", MEASURES[1:], ids=lambda m: m.kind)
+    def test_reaches_concurrence_of_assistance(self, measure):
+        # one helper on a pure state: the LE is the concurrence of assistance
+        # of rho_AB = M M^dag, the sum of the singular values of M^T (sy ⊗ sy) M
+        for i, rng in enumerate(spawn_rngs(2025, 20)):
+            d_z = 2 + i % 2
+            dims = DimSpec.make(("A", 2, "A"), ("B", 2, "B"), ("C", d_z, "Z"))
+            psi = random_pure(dims, rng)
+            m = psi.amplitudes.reshape(4, d_z)
+            coa = np.linalg.svd(m.T @ SIGMA_YY @ m, compute_uv=False).sum()
+            res = optimize_le(psi.to_density(), measure,
+                              LEConfig(restarts=2, max_iters=100, seed=i))
+            assert coa - 1e-6 <= res.value <= coa + 1e-12
+
+    @pytest.mark.parametrize("case", [
+        ("ghz entropy", lambda: ghz_state(3).to_density(), entropy_measure()),
+        ("w concurrence", lambda: w_state(3).to_density(), concurrence_measure()),
+        ("pure 2x2x3 G", lambda: random_pure(DimSpec.make(
+            ("A", 2, "A"), ("B", 2, "B"), ("C", 3, "Z")), np.random.default_rng(4)).to_density(),
+         gconcurrence_measure()),
+        ("rank-2 2x2x2x2 concurrence", lambda: random_density(DimSpec.make(
+            ("A", 2, "A"), ("B", 2, "B"), ("C", 2, "Z"), ("D", 2, "Z")),
+            np.random.default_rng(5), rank=2), concurrence_measure()),
+        ("mixed helper entropy", bell_with_idle_helper, entropy_measure()),
+    ], ids=lambda c: c[0])
+    def test_polish_never_below_ascent(self, case):
+        _, make, measure = case
+        rho = make()
+        config = LEConfig(restarts=3, max_iters=60, seed=11, polish=False)
+        ascent = optimize_le(rho, measure, config)
+        assert ascent.evaluations == config.restarts + ascent.iterations
+        polished = optimize_le(rho, measure, LEConfig(restarts=3, max_iters=60, seed=11))
+        assert polished.iterations == ascent.iterations
+        assert polished.evaluations > ascent.evaluations
+        assert polished.value >= ascent.value - 1e-12

@@ -97,7 +97,7 @@ def _ensemble_factor(rho):
 
 
 @pytest.mark.parametrize("d,rank", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
-def test_gradient_matches_central_differences(d, rank):
+def test_gradient_matches_central_differences(d, rank, central_gradient):
     spec = DimSpec.make(("A", d, "A"), ("B", d, "B"))
     rng = np.random.default_rng(10 * d + rank)
     w = _ensemble_factor(random_density(spec, rng, rank=rank))
@@ -107,14 +107,7 @@ def test_gradient_matches_central_differences(d, rank):
     assert np.all(np.abs(np.linalg.det(mats)) > 1e-6)  # away from the det = 0 cusp
     value, grad = _objective_and_gradient(x, w, d)
     assert value == pytest.approx(float(_objective(x, w, d)), abs=1e-14)
-    h = 1e-6
-    numeric = np.zeros_like(grad)
-    for idx in np.ndindex(x.shape):
-        for unit in (1.0, 1j):
-            step = np.zeros_like(x)
-            step[idx] = h * unit
-            slope = (_objective(x + step, w, d) - _objective(x - step, w, d)) / (2 * h)
-            numeric[idx] += slope * unit
+    numeric = central_gradient(lambda y: float(_objective(y, w, d)), x)
     np.testing.assert_allclose(grad, numeric, atol=1e-8, rtol=0)
 
 
@@ -167,3 +160,19 @@ def test_seed_determinism_3x3():
     np.testing.assert_array_equal(e1.weights, e2.weights)
     for s1, s2 in zip(e1.states, e2.states):
         np.testing.assert_array_equal(s1.amplitudes, s2.amplitudes)
+
+
+@pytest.mark.parametrize("d,rank,seed,value_hex", [
+    (2, 2, 1, "0x1.91fb9958b6aebp-2"),
+    (2, 3, 3, "0x1.3b5011098eca1p-2"),
+    (3, 2, 4, "0x1.960956ba45ddap-5"),
+    (3, 3, 5, "0x1.76876a7bc49ccp-5"),
+])
+def test_values_pinned_bit_for_bit(d, rank, seed, value_hex):
+    # the roof shares its QR backward pass with the LE polish; any change to
+    # it moves these values
+    spec = DimSpec.make(("A", d, "A"), ("B", d, "B"))
+    rho = random_density(spec, np.random.default_rng(seed), rank=rank)
+    value, ens = gconcurrence_mixed(rho, config=RoofConfig(restarts=4, max_iters=150, seed=seed))
+    assert value == float.fromhex(value_hex)
+    assert ens.converged
