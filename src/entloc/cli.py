@@ -247,8 +247,8 @@ def _suite_monotonicity(trials: int, seed: int) -> list[str]:
         gap = monotonicity_gap(psi.to_density(), inst, measure,
                                config=LEConfig(restarts=6, max_iters=200,
                                                seed=int(rng.integers(2**31))))
-        if gap > 2e-3:
-            failures.append(f"trial {i}: monotonicity gap {gap:.2e} > 2e-3")
+        if gap > 1e-6:
+            failures.append(f"trial {i}: monotonicity gap {gap:.2e} > 1e-6")
     return failures
 
 

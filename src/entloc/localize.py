@@ -3,7 +3,8 @@ helper (Z-role) parties can steer onto the A-B pair with a product POVM.
 
 ``optimize_le`` searches rank-one product POVMs, each party's outcomes being
 the rows of an isometry Q from the phase-fixed QR of a Gaussian pre-image x.
-A seeded multi-start random-step ascent over the pre-images finds a basin,
+A seeded multi-start random-step ascent over the pre-images, run in lockstep
+by ``sampling.lockstep_search`` (shared with the convex roof), finds a basin,
 and one L-BFGS-B run polishes the best restart. The polish follows the exact
 gradient of the branch average wherever the root has a closed-form
 derivative (the pattern of Audenaert, Verstraete and De Moor, PRA 64, 052304
@@ -28,7 +29,7 @@ from scipy.optimize import minimize
 
 from .jamiolkowski import from_state
 from .measures import _YY, NULL_BRANCH_TOL, RootMeasure, _takagi_stack, spectrum_value
-from .sampling import phase_fixed_qr, phase_fixed_qr_backward
+from .sampling import lockstep_search, phase_fixed_qr, phase_fixed_qr_backward
 from .states import DensityOperator, DimSpec, DimensionError
 
 # fixed stopping rule of the gradient polish
@@ -98,6 +99,11 @@ class LEResult:
     seed: int | None = None
     iterations: int = 0
     evaluations: int = 0  # objective evaluations of the ascent and the polish
+    # the ascent, per restart: final value and iterations run; ``winner`` is
+    # the first restart with the best value, the one the polish starts from
+    restart_values: tuple[float, ...] = ()
+    restart_iterations: tuple[int, ...] = ()
+    winner: int | None = None
 
     def to_dict(self, measure_name: str = "") -> dict:
         return {
@@ -108,6 +114,9 @@ class LEResult:
             "seed": self.seed,
             "iterations": self.iterations,
             "evaluations": self.evaluations,
+            "restart_values": list(self.restart_values),
+            "restart_iterations": list(self.restart_iterations),
+            "winner": self.winner,
             "branches": [{"p": p, "branch_value": v} for p, v in self.branches],
             "povm": [
                 [[[float(c.real), float(c.imag)] for c in f.ravel()] for f in out]
@@ -163,21 +172,17 @@ def average_root_entanglement(rho: DensityOperator, povm: ProductPOVM,
 # optimizer internals
 
 
-def _rank1_factors(params: list[np.ndarray]) -> list[np.ndarray]:
-    """Per-party isometries (K x d, orthonormal columns) from raw Gaussians."""
-    return [phase_fixed_qr(x)[0] for x in params]
-
-
 def _outcome_vectors(isos) -> np.ndarray:
-    """Row-wise Kronecker product of the per-party isometries.
+    """Row-wise Kronecker product of the per-party isometries, batched over
+    any leading axes.
 
     Row k is the joint helper vector of outcome k, with outcomes in
     ``np.ndindex`` order over the parties (the last party varies fastest).
     """
     out = isos[0]
     for v in isos[1:]:
-        out = (out[:, None, :, None] * v[None, :, None, :]).reshape(
-            out.shape[0] * v.shape[0], out.shape[1] * v.shape[1])
+        out = (out[..., :, None, :, None] * v[..., None, :, None, :]).reshape(
+            out.shape[:-2] + (out.shape[-2] * v.shape[-2], out.shape[-1] * v.shape[-1]))
     return out
 
 
@@ -312,10 +317,17 @@ class _FactorEvaluator:
     def _branch_factors(self, w: np.ndarray) -> np.ndarray:
         return (w.conj() @ self.factor).reshape(w.shape[0], self.da * self.db, self.r)
 
+    def averages(self, isos) -> np.ndarray:
+        """Averages of a batch of POVMs, party i's isometries a (R, K_i, d_i)
+        stack: all R K branches are scored in one call."""
+        w = _outcome_vectors(isos)
+        p, values = (a.reshape(w.shape[:2]) for a in self.measure.factor_branches(
+            self._branch_factors(w.reshape(-1, w.shape[-1])), self.y_dims, self.cut))
+        # row-by-column products: numpy's dot, one per restart
+        return (p[:, None, :] @ values[:, :, None])[:, 0, 0]
+
     def average(self, isos) -> float:
-        p, values = self.measure.factor_branches(
-            self._branch_factors(_outcome_vectors(isos)), self.y_dims, self.cut)
-        return float(np.dot(p, values))
+        return float(self.averages([v[None] for v in isos])[0])
 
     def average_and_gradient(self, params) -> tuple[float, list[np.ndarray]]:
         """Average at the pre-images ``params`` (one (K_i, d_i) array per
@@ -339,10 +351,11 @@ class _FactorEvaluator:
 def optimize_le(rho: DensityOperator, measure: RootMeasure,
                 config: LEConfig | None = None) -> LEResult:
     """Seeded multi-start ascent over rank-one product POVMs on the helpers,
-    then an L-BFGS-B polish of the best restart.
+    restarts in lockstep, then an L-BFGS-B polish of the best restart.
 
     Returns the best average found (a lower bound to the LE), together with
-    the realizing POVM and its recomputed branch data.
+    the realizing POVM, its recomputed branch data and the ascent's
+    per-restart values and iterations.
     """
     if config is None:
         config = LEConfig()
@@ -357,48 +370,18 @@ def optimize_le(rho: DensityOperator, measure: RootMeasure,
 
     evaluator = _FactorEvaluator(rho, measure)
 
-    rngs = [np.random.default_rng(s)
-            for s in np.random.SeedSequence(config.seed).spawn(config.restarts)]
-    best_val = -np.inf
-    best_isos = None
-    total_iters = 0
-    converged = False  # of the restart (or polish) that produced best_isos
-    for rng in rngs:
-        params = [rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
-                  for k, d in zip(n_out, z_dims)]
-        isos = _rank1_factors(params)
-        val = evaluator.average(isos)
-        step = 0.5
-        stale = 0
-        restart_converged = False
-        for it in range(config.max_iters):
-            total_iters += 1
-            idx = it % len(params)
-            prop = [p.copy() for p in params]
-            prop[idx] = prop[idx] + step * (
-                rng.standard_normal(prop[idx].shape) + 1j * rng.standard_normal(prop[idx].shape)
-            )
-            prop_isos = _rank1_factors(prop)
-            pval = evaluator.average(prop_isos)
-            if pval > val + config.tol / 10:
-                gain = pval - val
-                params, isos, val = prop, prop_isos, pval
-                stale = stale + 1 if gain < config.tol else 0
-            else:
-                stale += 1
-                if stale % (8 * len(params)) == 0:
-                    step *= 0.5
-            if step < 1e-5:
-                restart_converged = True
-                break
-        if val > best_val:
-            best_val = val
-            best_isos = isos
-            best_params = params
-            converged = restart_converged
+    values, params, flags, iterations = lockstep_search(
+        lambda xs: evaluator.averages([phase_fixed_qr(x)[0] for x in xs]),
+        list(zip(n_out, z_dims)), config.seed, config.restarts, config.max_iters,
+        accept=config.tol / 10, reset=config.tol, shrink=0.5,
+        patience=8 * len(z_dims), stop=1e-5)
+    winner = int(np.argmax(values))  # the first restart with the best value
+    best_params = [x[winner] for x in params]
+    converged = bool(flags[winner])  # of the restart (or polish) that is returned
+    total_iters = int(np.sum(iterations))
     evaluations = config.restarts + total_iters
 
-    if config.polish and best_isos is not None:
+    if config.polish:
         shapes = [p.shape for p in best_params]
         if evaluator.exact_gradient:
             def objective(flat):
@@ -406,20 +389,22 @@ def optimize_le(rho: DensityOperator, measure: RootMeasure,
                 return -value, -_flatten(grads)
         else:  # scipy's finite-difference gradient
             def objective(flat):
-                return -evaluator.average(_rank1_factors(_unflatten(flat, shapes)))
+                return -evaluator.average([phase_fixed_qr(x)[0]
+                                           for x in _unflatten(flat, shapes)])
 
         res = minimize(objective, _flatten(best_params), jac=evaluator.exact_gradient,
                        method="L-BFGS-B", options=_POLISH_OPTIONS)
         evaluations += res.nfev
-        if -res.fun > best_val:
-            best_val = float(-res.fun)
-            best_isos = _rank1_factors(_unflatten(res.x, shapes))
+        if -res.fun > values[winner]:
+            best_params = _unflatten(res.x, shapes)
             converged = bool(res.success)
 
-    povm = _povm_from_isometries(z_labels, best_isos)
+    povm = _povm_from_isometries(z_labels, [phase_fixed_qr(x)[0] for x in best_params])
     result = average_root_entanglement(rho, povm, measure)
     return LEResult(result.value, povm, result.branches, converged=converged,
-                    seed=config.seed, iterations=total_iters, evaluations=evaluations)
+                    seed=config.seed, iterations=total_iters, evaluations=evaluations,
+                    restart_values=tuple(float(v) for v in values),
+                    restart_iterations=tuple(int(i) for i in iterations), winner=winner)
 
 
 def grid_oracle_le(rho: DensityOperator, measure: RootMeasure,

@@ -11,7 +11,8 @@ for the d x d coefficient matrix C of |psi~>, so the m members are scored as
 one (m, d, d) stack by one determinant call, with no SVD.
 
 The optimizer is a multi-start adaptive random local search over the Gaussian
-pre-image x of the isometry (U = Q of the phase-fixed QR x = Q R). The
+pre-image x of the isometry (U = Q of the phase-fixed QR x = Q R), run by
+``sampling.lockstep_search``, the driver the LE ascent shares, on -f. The
 restarts run in lockstep: each keeps its own generator, step and stopping
 state, and every iteration scores the proposals of all live restarts in one
 batched QR and one batched determinant. The best three restarts are then
@@ -29,7 +30,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .measures import _cut_or_default
-from .sampling import phase_fixed_qr, phase_fixed_qr_backward
+from .sampling import lockstep_search, phase_fixed_qr, phase_fixed_qr_backward
 from .states import DensityOperator, DimSpec, PureState
 
 
@@ -90,44 +91,6 @@ def _objective_and_gradient(x: np.ndarray, w: np.ndarray, d: int):
     return d * float(np.sum(a)), phase_fixed_qr_backward(q, r, g_q)
 
 
-def _random_search(w: np.ndarray, d: int, m: int, config: RoofConfig):
-    """Multi-start adaptive random local search, restarts run in lockstep.
-
-    Each restart owns a generator and draws its start and proposals in the
-    same order as a restart run alone; every iteration scores all live
-    proposals with one batched QR and one batched determinant. A restart
-    drops out once its step falls below 1e-3 (converged). Returns the final
-    values, pre-images and converged flags, one per restart.
-    """
-    r = w.shape[1]
-    rngs = [np.random.default_rng(s)
-            for s in np.random.SeedSequence(config.seed).spawn(config.restarts)]
-    x = np.stack([rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
-                  for rng in rngs])
-    val = _objective(x, w, d)
-    step = np.full(len(rngs), 0.5)
-    stale = np.zeros(len(rngs), dtype=int)
-    converged = np.zeros(len(rngs), dtype=bool)
-    live = np.arange(len(rngs))
-    for _ in range(config.max_iters):
-        if live.size == 0:
-            break
-        noise = np.stack([rngs[i].standard_normal((m, r)) + 1j * rngs[i].standard_normal((m, r))
-                          for i in live])
-        prop = x[live] + step[live, None, None] * noise
-        pval = _objective(prop, w, d)
-        better = pval < val[live] - 1e-12
-        won, lost = live[better], live[~better]
-        x[won], val[won], stale[won] = prop[better], pval[better], 0
-        stale[lost] += 1
-        shrink = lost[stale[lost] % 20 == 0]
-        step[shrink] *= 0.6
-        done = step[live] < 1e-3
-        converged[live[done]] = True
-        live = live[~done]
-    return val, x, converged
-
-
 def gconcurrence_mixed(rho: DensityOperator, cut=None, config: RoofConfig | None = None):
     """Convex-roof geometric-mean concurrence of a mixed bipartite state.
 
@@ -171,7 +134,11 @@ def gconcurrence_mixed(rho: DensityOperator, cut=None, config: RoofConfig | None
         ens = DecompositionEnsemble(np.array([1.0]), (psi,), val, True)
         return val, ens
 
-    vals, xs, flags = _random_search(w, d, m, config)
+    # minimize by maximizing -f, which is exact in floating point
+    vals, (xs,), flags, _ = lockstep_search(
+        lambda x: -_objective(x[0], w, d), [(m, r)], config.seed, config.restarts,
+        config.max_iters, accept=1e-12, reset=0.0, shrink=0.6, patience=20, stop=1e-3)
+    vals = -vals
 
     def unflatten(flat: np.ndarray) -> np.ndarray:
         return flat[: m * r].reshape(m, r) + 1j * flat[m * r :].reshape(m, r)

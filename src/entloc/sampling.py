@@ -1,5 +1,6 @@
 """Seeded random quantum objects: Haar pure states and unitaries, fixed-rank
-density operators, complete POVMs, and trace-preserving instruments.
+density operators, complete POVMs, and trace-preserving instruments; and the
+seeded multi-start random search that the LE ascent and the convex roof share.
 
 All sampling is deterministic given the generator/seed passed in; nothing here
 touches global RNG state.
@@ -56,6 +57,81 @@ def phase_fixed_qr_backward(q: np.ndarray, r: np.ndarray, g_q: np.ndarray) -> np
     skew = np.tril(mq, -1) - np.tril(mq.conj().T, -1) + 1j * np.diag(np.diag(mq).imag)
     # G_x R^H = Q (N - M) + G_Q, solved as R G_x^H = (...)^H
     return solve_triangular(r, (q @ (skew - mq) + g_q).conj().T).conj().T
+
+
+# iterations of proposal noise a restart draws per generator call; fixed, so
+# the noise buffer does not grow with the iteration budget
+_NOISE_BLOCK = 32
+
+
+def lockstep_search(score, shapes, seed, restarts: int, max_iters: int, *,
+                    accept: float, reset: float, shrink: float, patience: int,
+                    stop: float):
+    """Multi-start adaptive random local search maximizing ``score``, the
+    restarts run in lockstep.
+
+    A point is one complex pre-image per party, party i of shape
+    ``shapes[i]`` (rows, cols); ``score`` maps per-party stacks with a
+    leading restart axis to one value per restart. Restart j draws its start (party by party,
+    real then imaginary part) and its noise from generator j of
+    ``spawn_rngs(seed, restarts)``, ``_NOISE_BLOCK`` iterations per call, the
+    same numbers as one call per draw. Iteration t adds step (0.5 at the
+    start) times complex Gaussian noise to party t % n of every live restart
+    and scores all the proposals in one call. A gain above ``accept`` is
+    taken; one below ``reset`` still counts as stale. A rejection that makes
+    the stale count a multiple of ``patience`` multiplies the step by
+    ``shrink``; a step below ``stop`` ends the restart (converged).
+
+    Returns per-restart ``(values, pre-images, converged, iterations)``, the
+    pre-images as one (restarts, rows, cols) array per party.
+    """
+    n = len(shapes)
+    sizes = [int(np.prod(s)) for s in shapes]
+    rngs = spawn_rngs(seed, restarts)
+    starts = [[rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
+              for rng in rngs]
+    x = [np.stack(party) for party in zip(*starts)]
+    values = score(x)
+    converged = np.zeros(restarts, dtype=bool)
+    iterations = np.full(restarts, max_iters)
+    # the state of the live restarts, compacted whenever one drops out
+    ids, cur, xs = np.arange(restarts), values.copy(), [q.copy() for q in x]
+    step, stale = np.full(restarts, 0.5), np.zeros(restarts, dtype=int)
+    for t in range(max_iters):
+        if t % _NOISE_BLOCK == 0:
+            block = range(t, min(t + _NOISE_BLOCK, max_iters))
+            noise = np.empty((ids.size, 2 * sum(sizes[i % n] for i in block)))
+            for row, i in zip(noise, ids):
+                rngs[i].standard_normal(out=row)
+            off = 0
+        j, size = t % n, sizes[t % n]
+        re, im = noise[:, off:off + size], noise[:, off + size:off + 2 * size]
+        off += 2 * size
+        prop = xs[j] + step[:, None, None] * (re + 1j * im).reshape(
+            (ids.size,) + tuple(shapes[j]))
+        pval = score([prop if q == j else xq for q, xq in enumerate(xs)])
+        better = pval > cur + accept
+        stale += 1
+        shrinking = stale % patience == 0
+        if better.any():
+            stale[better & (pval - cur >= reset)] = 0
+            xs[j][better], cur[better] = prop[better], pval[better]
+            shrinking &= ~better
+        step[shrinking] *= shrink
+        done = step < stop
+        if done.any():
+            gone, keep = ids[done], ~done
+            converged[gone], iterations[gone], values[gone] = True, t + 1, cur[done]
+            for q in range(n):
+                x[q][gone] = xs[q][done]
+            ids, cur, step, stale, noise = ids[keep], cur[keep], step[keep], stale[keep], noise[keep]
+            xs = [xq[keep] for xq in xs]
+            if ids.size == 0:
+                break
+    values[ids] = cur
+    for q in range(n):
+        x[q][ids] = xs[q]
+    return values, x, converged, iterations
 
 
 def random_unitary(d: int, rng) -> np.ndarray:

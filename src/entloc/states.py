@@ -7,6 +7,7 @@ dimension <= a few hundred), so no sparsity or structure is exploited.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,7 +96,7 @@ class DimSpec:
         return self.labels_with_role(ROLE_Z)
 
     def dim_of_labels(self, labels) -> int:
-        return int(np.prod([self.dim_of(lab) for lab in labels], dtype=np.int64))
+        return math.prod(self.dim_of(lab) for lab in labels)
 
     def require_bipartite_roles(self) -> None:
         if not self.a_labels or not self.b_labels:

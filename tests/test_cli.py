@@ -171,6 +171,10 @@ class TestCli:
         results = json.loads(payloads[0])["results"]
         # the ascent's evaluations (one per restart start and iteration) and the polish's
         assert results["evaluations"] > 2 + results["iterations"]
+        # per-restart diagnostics of the ascent; the winner is the best restart
+        assert len(results["restart_values"]) == len(results["restart_iterations"]) == 2
+        assert sum(results["restart_iterations"]) == results["iterations"]
+        assert results["restart_values"][results["winner"]] == max(results["restart_values"])
 
     def test_protocol_command(self, tmp_path, capsys):
         state = tmp_path / "locked.json"

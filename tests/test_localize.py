@@ -21,12 +21,15 @@ from entloc import (
     tensor_product,
 )
 from entloc.catalog import bell_state, ghz_state, w_state
-from entloc.localize import (
-    _FactorEvaluator,
-    _povm_from_isometries,
-    _rank1_factors,
+from entloc.localize import _FactorEvaluator, _povm_from_isometries
+from entloc.sampling import (
+    lockstep_search,
+    phase_fixed_qr,
+    random_density,
+    random_povm,
+    random_pure,
+    spawn_rngs,
 )
-from entloc.sampling import random_density, random_povm, random_pure, spawn_rngs
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
@@ -218,7 +221,7 @@ MEASURES = (entropy_measure(), concurrence_measure(), gconcurrence_measure())
 def _isometry_with_null_row(d: int, rng) -> np.ndarray:
     """(d + 2) x d isometry whose last row is zero: an exactly null outcome."""
     x = rng.standard_normal((d + 1, d)) + 1j * rng.standard_normal((d + 1, d))
-    return np.vstack([_rank1_factors([x])[0], np.zeros((1, d))])
+    return np.vstack([phase_fixed_qr(x)[0], np.zeros((1, d))])
 
 
 def _reference_branches(rho, povm, measure):
@@ -300,7 +303,7 @@ class TestBatchedEngine:
         rng = np.random.default_rng(8)
         rho = random_pure(DimSpec.make(("A", 2, "A"), ("B", 2, "B"),
                                        ("C", 2, "Z"), ("D", 3, "Z")), rng)
-        isos = [_rank1_factors([rng.standard_normal((k, d)) + 0j])[0]
+        isos = [phase_fixed_qr(rng.standard_normal((k, d)) + 0j)[0]
                 for k, d in ((3, 2), (4, 3))]
         povm = _povm_from_isometries(("C", "D"), isos)
         measure = entropy_measure()
@@ -331,6 +334,103 @@ class TestFailFast:
         povm = ProductPOVM.single_party("C", (P0, P1))
         with pytest.raises(DimensionError):
             average_root_entanglement(self._qutrit_pair(), povm, concurrence_measure())
+
+
+def _reference_ascent(rho, measure, config):
+    """The LE ascent run one restart at a time, drawing its noise step by step."""
+    evaluator = _FactorEvaluator(rho, measure)
+    shapes = [(config.outcomes_per_party or d * d, d)
+              for d in (rho.dims.dim_of(lab) for lab in rho.dims.z_labels)]
+
+    def score(params):
+        return evaluator.average([phase_fixed_qr(x)[0] for x in params])
+
+    finals = []
+    for seed in np.random.SeedSequence(config.seed).spawn(config.restarts):
+        rng = np.random.default_rng(seed)
+        params = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
+        val = score(params)
+        step, stale, converged, iters = 0.5, 0, False, 0
+        for it in range(config.max_iters):
+            iters += 1
+            idx = it % len(params)
+            prop = list(params)
+            prop[idx] = params[idx] + step * (rng.standard_normal(shapes[idx])
+                                              + 1j * rng.standard_normal(shapes[idx]))
+            pval = score(prop)
+            if pval > val + config.tol / 10:
+                gain = pval - val
+                params, val = prop, pval
+                stale = stale + 1 if gain < config.tol else 0
+            else:
+                stale += 1
+                if stale % (8 * len(params)) == 0:
+                    step *= 0.5
+            if step < 1e-5:
+                converged = True
+                break
+        finals.append((val, params, converged, iters))
+    return finals
+
+
+def _lockstep_cases():
+    """(name, state, root, budget, restarts stop at different iterations)"""
+    def dims(*helpers):
+        return DimSpec.make(("A", 2, "A"), ("B", 2, "B"),
+                            *[(f"Z{j}", d, "Z") for j, d in enumerate(helpers)])
+
+    return [
+        ("pure z2 entropy", random_pure(dims(2), np.random.default_rng(1)).to_density(),
+         entropy_measure(), LEConfig(restarts=4, max_iters=300, tol=1e-4, seed=9), True),
+        ("pure z22 G", random_pure(dims(2, 2), np.random.default_rng(2)).to_density(),
+         gconcurrence_measure(), LEConfig(restarts=4, max_iters=290, tol=1e-2, seed=9), True),
+        ("mixed z2 concurrence", random_density(dims(2), np.random.default_rng(3), rank=3),
+         concurrence_measure(), LEConfig(restarts=3, max_iters=250, tol=1e-4, seed=9), True),
+        ("mixed z22 G", random_density(dims(2, 2), np.random.default_rng(4), rank=2),
+         gconcurrence_measure(), LEConfig(restarts=4, max_iters=300, tol=1e-2, seed=9), True),
+        ("one restart", random_pure(dims(3), np.random.default_rng(5)).to_density(),
+         concurrence_measure(), LEConfig(restarts=1, max_iters=45, seed=2), False),
+        ("no iterations", random_density(dims(2), np.random.default_rng(6), rank=2),
+         gconcurrence_measure(), LEConfig(restarts=3, max_iters=0, seed=2), False),
+    ]
+
+
+@pytest.mark.parametrize("case", _lockstep_cases(), ids=lambda c: c[0])
+def test_lockstep_ascent_matches_per_restart_loop(case):
+    _, rho, measure, config, staggered = case
+    finals = _reference_ascent(rho, measure, config)
+    ref_vals = [val for val, _, _, _ in finals]
+    ref_iters = tuple(iters for _, _, _, iters in finals)
+    assert (len(set(ref_iters)) > 1) == staggered
+
+    # the shared driver under the LE's rules: every restart's end point
+    evaluator = _FactorEvaluator(rho, measure)
+    shapes = [x.shape for x in finals[0][1]]
+    vals, xs, flags, iters = lockstep_search(
+        lambda ps: evaluator.averages([phase_fixed_qr(x)[0] for x in ps]), shapes,
+        config.seed, config.restarts, config.max_iters, accept=config.tol / 10,
+        reset=config.tol, shrink=0.5, patience=8 * len(shapes), stop=1e-5)
+    for i, (ref_val, ref_params, ref_flag, ref_iter) in enumerate(finals):
+        assert vals[i] == ref_val
+        for x, ref_x in zip(xs, ref_params):
+            np.testing.assert_array_equal(x[i], ref_x)
+        assert (flags[i], iters[i]) == (ref_flag, ref_iter)
+
+    # optimize_le reports the same ascent and returns the first best restart
+    res = optimize_le(rho, measure, LEConfig(restarts=config.restarts,
+                                             max_iters=config.max_iters, tol=config.tol,
+                                             seed=config.seed, polish=False))
+    winner = int(np.argmax(ref_vals))
+    assert res.restart_values == tuple(ref_vals)
+    assert res.restart_iterations == ref_iters
+    assert res.winner == winner and res.converged == finals[winner][2]
+    assert res.iterations == sum(ref_iters)
+    assert res.evaluations == config.restarts + sum(ref_iters)
+    want = _povm_from_isometries(rho.dims.z_labels,
+                                 [phase_fixed_qr(x)[0] for x in finals[winner][1]])
+    for out, ref_out in zip(res.povm.factors, want.factors):
+        for f, ref_f in zip(out, ref_out):
+            np.testing.assert_array_equal(f, ref_f)
 
 
 class TestConfig:
@@ -381,13 +481,17 @@ def test_evaluator_gradient_matches_central_differences(seed, case, central_grad
     assert evaluator.r == rank and evaluator.exact_gradient
     params = [rng.standard_normal((d + 1, d)) + 1j * rng.standard_normal((d + 1, d))
               for d in helpers]
-    value, grads = evaluator.average_and_gradient(params)
-    assert value == pytest.approx(evaluator.average(_rank1_factors(params)), abs=1e-12)
-    for j, x in enumerate(params):
-        def average(y, j=j):
-            return evaluator.average(_rank1_factors(params[:j] + [y] + params[j + 1:]))
 
-        np.testing.assert_allclose(grads[j], central_gradient(average, x), atol=1e-8, rtol=0)
+    def average(xs):
+        return evaluator.average([phase_fixed_qr(x)[0] for x in xs])
+
+    value, grads = evaluator.average_and_gradient(params)
+    assert value == pytest.approx(average(params), abs=1e-12)
+    for j, x in enumerate(params):
+        def partial(y, j=j):
+            return average(params[:j] + [y] + params[j + 1:])
+
+        np.testing.assert_allclose(grads[j], central_gradient(partial, x), atol=1e-8, rtol=0)
 
 
 SIGMA_YY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])

@@ -10,8 +10,8 @@ from entloc import (
     wootters_concurrence,
 )
 from entloc.catalog import werner_state
-from entloc.roof import _ensemble_stack, _objective, _objective_and_gradient, _random_search
-from entloc.sampling import random_density, random_pure
+from entloc.roof import _ensemble_stack, _objective, _objective_and_gradient
+from entloc.sampling import lockstep_search, random_density, random_pure
 
 PAIR = DimSpec.make(("A", 2, "A"), ("B", 2, "B"))
 FAST = RoofConfig(restarts=8, max_iters=250, seed=0)
@@ -134,6 +134,14 @@ def _reference_search(w, d, m, config):
                 break
         finals.append((val, x, converged))
     return finals
+
+
+def _random_search(w, d, m, config):
+    """The roof's random phase: the shared lockstep driver maximizing -f."""
+    vals, (xs,), flags, _ = lockstep_search(
+        lambda x: -_objective(x[0], w, d), [(m, w.shape[1])], config.seed, config.restarts,
+        config.max_iters, accept=1e-12, reset=0.0, shrink=0.6, patience=20, stop=1e-3)
+    return -vals, xs, flags
 
 
 @pytest.mark.parametrize("d,rank", [(2, 2), (3, 2)])
