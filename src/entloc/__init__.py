@@ -13,7 +13,6 @@ from .states import (
     SchmidtDecomposition,
     conditional_state,
     partial_trace,
-    partial_trace_pure,
     permute_parties,
     schmidt_decompose,
     tensor_product,

@@ -28,10 +28,8 @@ from .measures import (
     MixedBranchError,
     concurrence_measure,
     entropy_measure,
-    f_factor,
     gconcurrence_measure,
     gconcurrence_pure,
-    wootters_concurrence,
 )
 from .jamiolkowski import from_state
 from .protocols import evaluate_protocol, monotonicity_gap, locked_state_protocol
@@ -84,21 +82,16 @@ def _as_density(state) -> DensityOperator:
 
 def cmd_measure(args) -> int:
     t0 = time.perf_counter()
-    state = load_state(args.state)
+    rho = _as_density(load_state(args.state))
     measure = MEASURES[args.measure]()
-    provenance = "closed form"
-    converged = True
-    if isinstance(state, PureState):
-        value = measure.pure(state)
+    results = {"method": "closed form", "converged": True, "bound": "exact"}
+    if measure.needs_roof(rho.dims, None, rho.eigensystem()[0]):
+        value, ens = gconcurrence_mixed(rho)
+        results.update(method="convex-roof optimizer (upper bound)",
+                       converged=ens.converged, bound="upper")
     else:
-        if args.measure == "gconc" and state.dims.total_dim != 4 and state.rank() > 1:
-            value, ens = gconcurrence_mixed(state)
-            provenance = "convex-roof optimizer (upper bound)"
-            converged = ens.converged
-        else:
-            value = measure.density(state)
-    results = {"value": value, "method": provenance, "converged": converged,
-               "bound": "exact" if provenance == "closed form" else "upper"}
+        value = measure.density(rho)
+    results["value"] = value
     _emit_report(args, "measure", results,
                  {"measure": args.measure, "state": args.state, "seed": None}, t0)
     return EXIT_OK

@@ -13,7 +13,9 @@ the Takagi matrices of the branch factors for concurrence and G on a mixed
 2 x 2 cut; the gradient is carried back through the row-wise Kronecker
 product of the outcome vectors and the QR to x. The remaining cases (G on a
 larger mixed cut, entropy on a mixed state) polish on scipy's
-finite-difference gradient. Values carry LOWER-bound semantics (the true
+finite-difference gradient. ``average_root_entanglement`` scores a fixed
+POVM in the same factor form, so the value ``optimize_le`` reports is the
+value its search reached. Values carry LOWER-bound semantics (the true
 maximum can only be higher). ``grid_oracle_le`` is the independent
 brute-force check for a single helper qubit: a Bloch-sphere grid of
 two-outcome projective measurements.
@@ -27,13 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .jamiolkowski import from_state
 from .measures import _YY, NULL_BRANCH_TOL, RootMeasure, _takagi_stack, spectrum_value
 from .sampling import lockstep_search, phase_fixed_qr, phase_fixed_qr_backward
 from .states import DensityOperator, DimSpec, DimensionError
 
 # fixed stopping rule of the gradient polish
 _POLISH_OPTIONS = {"ftol": 1e-15, "gtol": 1e-10}
+# eigenvalues of a POVM element below this share of its largest are its null space
+_ELEMENT_RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -143,27 +146,29 @@ class LEConfig:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
 
 
-def _y_cut(dims: DimSpec):
-    dims.require_bipartite_roles()
-    return dims.a_labels, dims.b_labels
-
-
 def average_root_entanglement(rho: DensityOperator, povm: ProductPOVM,
                               measure: RootMeasure) -> LEResult:
     """Average branch entanglement for a fixed product POVM on the helpers.
 
-    Every branch is the Jamiolkowski map of the state applied to one POVM
-    element; all of them come from one contraction and are scored in one
-    batched call. Null branches (probability below 1e-14) contribute zero.
+    Each POVM element is factored as E_k = F_k F_k^dag from its
+    eigendecomposition, with exact zero columns where an eigenvalue is below
+    1e-12 of the element's largest; F_k meets the state's eigen-factor in the
+    evaluator of ``optimize_le``, so the branches come from one contraction
+    and are scored in one batched call, as the optimizer scores them. Null
+    branches (probability below 1e-14) contribute zero.
     """
     if tuple(povm.z_labels) != tuple(rho.dims.z_labels):
         raise DimensionError(
             f"POVM helper labels {povm.z_labels} != state helper labels {rho.dims.z_labels}"
         )
-    cut = _y_cut(rho.dims)
-    jam = from_state(rho)
-    elements = np.stack([povm.element(k) for k in range(povm.n_outcomes)])
-    p, values = measure.operator_branches(jam.apply_physical(elements), jam.y_dims, cut)
+    evaluator = _FactorEvaluator(rho, measure)
+    evals, evecs = np.linalg.eigh(np.stack([povm.element(k) for k in range(povm.n_outcomes)]))
+    keep = evals > _ELEMENT_RANK_TOL * evals[:, -1:]
+    m = max(1, int(np.max(np.count_nonzero(keep, axis=-1))))
+    # eigenvalues ascend, so the kept columns are among the last m
+    elements = (evecs * np.sqrt(np.where(keep, evals, 0.0))[:, None, :])[:, :, -m:]
+    p, values = measure.factor_branches(evaluator._branch_factors(elements),
+                                        evaluator.y_dims, evaluator.cut)
     branches = tuple((float(pk), float(vk)) for pk, vk in zip(p, values))
     return LEResult(float(np.dot(p, values)), povm, branches)
 
@@ -278,11 +283,12 @@ def _takagi_branch_gradient(factors: np.ndarray) -> tuple[float, np.ndarray]:
 class _FactorEvaluator:
     """Branch averages of one state over rank-one product outcomes, in factor form.
 
-    rho = V V^dag with V its eigen-factor (eigenvalues above 1e-11; the state
-    vector itself when rho is pure, r = 1). The branch of outcome vector w_k
+    rho = V V^dag with V its eigen-factor (eigenvalues above 1e-11; the unit
+    state vector when rho is a normalized pure state, r = 1). The branch of outcome vector w_k
     is B_k B_k^dag with B_k = sum_z conj(w_kz) V[:, z, :], so one matrix
     product gives the (K, d_A d_B, r) stack of branch factors, scored by
-    ``RootMeasure.factor_branches``.
+    ``RootMeasure.factor_branches``. A POVM element E_k = F_k F_k^dag of rank
+    m gives the m r columns F_k^dag V the same way (``average_root_entanglement``).
 
     ``average_and_gradient`` carries the exact gradient back to the Gaussian
     pre-images where the root has a closed form (``exact_gradient``): r = 1
@@ -293,14 +299,15 @@ class _FactorEvaluator:
 
     def __init__(self, rho: DensityOperator, measure: RootMeasure):
         dims = rho.dims
-        a, b = self.cut = _y_cut(dims)
+        dims.require_bipartite_roles()
+        a, b = self.cut = dims.a_labels, dims.b_labels
         self.da, self.db = dims.dim_of_labels(a), dims.dim_of_labels(b)
         measure.check_cut(self.da, self.db)
-        if rho.rank(tol=1e-11) == 1:
-            v = rho.as_pure().amplitudes[:, None]
+        evals, evecs = rho.eigensystem()
+        live = evals > 1e-11
+        if rho.normalized and np.count_nonzero(live) == 1:
+            v = np.ascontiguousarray(evecs[:, -1:])  # the state vector, unit norm
         else:
-            evals, evecs = rho.eigensystem()
-            live = evals > 1e-11
             v = evecs[:, live] * np.sqrt(evals[live])
         self.r = v.shape[1]
         z = dims.z_labels
@@ -315,6 +322,13 @@ class _FactorEvaluator:
             measure.kind != "entropy" and (self.da, self.db) == (2, 2))
 
     def _branch_factors(self, w: np.ndarray) -> np.ndarray:
+        """(K, d_A d_B, m r) branch factors of K outcome vectors, w a (K, d_Z)
+        stack (m = 1), or of K POVM elements E_k = F_k F_k^dag, w the
+        (K, d_Z, m) stack of their factors."""
+        if w.ndim == 3:
+            k, _, m = w.shape
+            cols = self._branch_factors(np.swapaxes(w, 1, 2).reshape(k * m, -1))
+            return cols.reshape(k, m, -1, self.r).swapaxes(1, 2).reshape(k, -1, m * self.r)
         return (w.conj() @ self.factor).reshape(w.shape[0], self.da * self.db, self.r)
 
     def averages(self, isos) -> np.ndarray:

@@ -1,8 +1,15 @@
 """Bipartite root entanglement measures: entropy of entanglement, the
 two-qubit concurrence closed form, the geometric-mean concurrence family for
 pure states, and the per-outcome contraction factor of dimension-preserving
-instruments. ``RootMeasure`` also scores whole stacks of measurement branches
-in one batched call, from one spectrum function and one Wootters kernel.
+instruments.
+
+``RootMeasure`` scores every state in one form: a stack of branch factors
+F_k, the branch being F_k F_k^dag (``RootMeasure.factor_branches``); one
+state is a stack of one, its eigen-factor (``RootMeasure.density``). A
+rank-one branch is scored on its Schmidt spectrum, a two-qubit branch under
+the concurrence or G by one Wootters kernel, any other branch on the Schmidt
+spectrum of its top singular vector. ``RootMeasure.needs_roof`` is the one
+rule that sends G of a mixed branch to the convex roof instead.
 
 The geometric-mean concurrence for a d x d pure state is
 d * (lambda_0 ... lambda_{d-1})^(1/d) with lambda the squared Schmidt
@@ -29,6 +36,7 @@ from .states import (
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 _PURITY_TOL = 1e-8
+_RANK_TOL = 1e-10
 NULL_BRANCH_TOL = 1e-14
 
 
@@ -120,13 +128,6 @@ def _wootters_from_factors(factors: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, s[..., 0] - np.sum(s[..., 1:], axis=-1))
 
 
-def _wootters_stack(mats: np.ndarray) -> np.ndarray:
-    """Two-qubit concurrence of every matrix in a (K, 4, 4) stack, from its
-    eigen-factor."""
-    evals, evecs = np.linalg.eigh(mats)
-    return _wootters_from_factors(evecs * np.sqrt(np.clip(evals, 0.0, None))[..., None, :])
-
-
 def wootters_concurrence(rho: DensityOperator, cut=None) -> float:
     """Two-qubit concurrence closed form.
 
@@ -137,29 +138,20 @@ def wootters_concurrence(rho: DensityOperator, cut=None) -> float:
     left, right = _cut_or_default(rho.dims, cut)
     if rho.dims.dim_of_labels(left) != 2 or rho.dims.dim_of_labels(right) != 2:
         raise DimensionError("concurrence closed form requires a 2 x 2 qubit pair")
-    return float(_wootters_stack(rho.matrix[None])[0])
+    evals, evecs = rho.eigensystem()
+    return float(_wootters_from_factors((evecs * np.sqrt(evals))[None])[0])
 
 
-def _entropy_of_rank1_stack(mats: np.ndarray, dims: DimSpec, cut) -> np.ndarray:
-    """Entropy of entanglement of a (K, d, d) stack of rank-one operators.
-
-    A member whose top eigenvalue falls short of its trace by more than the
-    purity tolerance (or that has a negative eigenvalue below -1e-8) is mixed,
-    and the entropy root is not defined there.
-    """
-    evals, evecs = np.linalg.eigh(mats)
-    traces = np.trace(mats, axis1=-2, axis2=-1).real
-    if np.any(evals[:, 0] < -1e-8) or np.any(
-            (traces <= 0) | (np.clip(evals[:, -1], 0.0, None) < traces * (1 - _PURITY_TOL))):
-        raise MixedBranchError("entropy root is defined on pure states only; got a mixed branch")
-    left, right = cut
-    if sorted(left + right) != sorted(dims.labels):
+def _in_cut_order(factors: np.ndarray, dims: DimSpec, order) -> tuple[np.ndarray, DimSpec]:
+    """A (K, d, r) factor stack and its layout with the parties permuted into
+    ``order``, which must list every party once."""
+    if sorted(order) != sorted(dims.labels):
         raise DimensionError("cut must partition the party labels")
-    dl, dr = dims.dim_of_labels(left), dims.dim_of_labels(right)
-    axes = [0] + [a + 1 for a in dims.axes_of(left + right)]
-    vecs = evecs[:, :, -1].reshape((-1,) + dims.local_dims).transpose(axes)
-    s = np.linalg.svd(vecs.reshape(-1, dl, dr), compute_uv=False)
-    return spectrum_value("entropy", s * s, max(dl, dr))
+    axes = [0] + [a + 1 for a in dims.axes_of(order)] + [len(order) + 1]
+    k, _, r = factors.shape
+    moved = factors.reshape((k,) + dims.local_dims + (r,)).transpose(axes)
+    spec = DimSpec(tuple((lab, dims.dim_of(lab)) for lab in order), dict(dims.roles))
+    return moved.reshape(factors.shape), spec
 
 
 def f_factor(kraus_ops, d: int | None = None) -> float:
@@ -228,10 +220,13 @@ class Instrument:
 class RootMeasure:
     """Tagged bipartite measure scoring the final A-B state.
 
-    ``kind`` is one of "entropy", "concurrence", "gconcurrence". Mixed-state
-    evaluation: concurrence uses the closed form; gconcurrence uses the closed
-    form on a qubit pair (where the two coincide) and the convex roof
-    elsewhere; entropy accepts only (numerically) pure inputs.
+    ``kind`` is one of "entropy", "concurrence", "gconcurrence". Every value
+    comes from ``factor_branches``, a state's from ``density`` (a stack of
+    one): the concurrence uses the closed form on a qubit pair; G uses the
+    closed form on a qubit pair (where the two coincide), on a pure state and
+    on an unequal cut (0 by the zero padding), and the convex roof on a mixed
+    state elsewhere (``needs_roof``); entropy accepts only (numerically) pure
+    inputs.
     """
 
     kind: str
@@ -246,94 +241,88 @@ class RootMeasure:
         if self.kind == "concurrence" and (d_left, d_right) != (2, 2):
             raise DimensionError("concurrence closed form requires a qubit pair")
 
-    def pure(self, psi: PureState, cut=None) -> float:
-        if self.kind == "entropy":
-            return entropy_of_entanglement(psi, cut)
-        return gconcurrence_pure(psi, cut)
+    def needs_roof(self, dims: DimSpec, cut, spectrum) -> np.ndarray:
+        """Where a state with eigenvalues ``spectrum`` (last axis, any scale)
+        on the layout ``dims`` needs the convex-roof search across ``cut``
+        (None: the A|B role cut), the one rule for closed form versus roof.
+
+        That is G of a mixed state, more than one eigenvalue above 1e-10 of
+        the trace, on an equal cut larger than 2 x 2. Elsewhere every root
+        has a closed form: G is 0 on an unequal cut (the zero padding), the
+        Wootters concurrence on 2 x 2, and the Schmidt value on a pure state.
+        """
+        left, right = _cut_or_default(dims, cut)
+        d = dims.dim_of_labels(left)
+        lam = np.asarray(spectrum)
+        mixed = np.count_nonzero(lam > _RANK_TOL * np.sum(lam, axis=-1, keepdims=True),
+                                 axis=-1) > 1
+        return mixed & (self.kind == "gconcurrence" and d == dims.dim_of_labels(right) > 2)
 
     def density(self, rho: DensityOperator, cut=None) -> float:
+        """Value of one state across the cut (None: the A|B role cut): its
+        eigen-factor scored as a stack of one, or, where ``needs_roof`` says
+        so, the convex roof of rho itself."""
         left, right = _cut_or_default(rho.dims, cut)
-        dl = rho.dims.dim_of_labels(left)
-        dr = rho.dims.dim_of_labels(right)
-        self.check_cut(dl, dr)
-        if self.kind == "entropy":
-            return float(_entropy_of_rank1_stack(rho.matrix[None], rho.dims, (left, right))[0])
-        if (dl, dr) == (2, 2):
-            return wootters_concurrence(rho, (left, right))
-        if rho.rank() == 1:
-            return gconcurrence_pure(rho.as_pure(), (left, right))
-        from .roof import gconcurrence_mixed
+        evals, evecs = rho.eigensystem()
+        if self.needs_roof(rho.dims, (left, right), evals):
+            from .roof import gconcurrence_mixed
 
-        value, _ = gconcurrence_mixed(rho, (left, right), self.roof_config)
-        return value
-
-    def vector_branches(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(probabilities, values) of a (K, d_A, d_B) stack of unnormalized
-        branch coefficient matrices, rows indexing A and columns B.
-
-        Null branches (probability below 1e-14) report (0, 0).
-        """
-        s = np.linalg.svd(mats, compute_uv=False)
-        lam = s * s
-        p = np.sum(lam, axis=-1)
-        live = p >= NULL_BRANCH_TOL
-        values = spectrum_value(self.kind, lam / np.where(live, p, 1.0)[:, None],
-                                max(mats.shape[1:]))
-        return np.where(live, p, 0.0), np.where(live, values, 0.0)
-
-    def operator_branches(self, ops: np.ndarray, dims: DimSpec,
-                          cut) -> tuple[np.ndarray, np.ndarray]:
-        """(probabilities, values) of a (K, d, d) stack of unnormalized branch
-        operators on the layout ``dims``, scored across ``cut``.
-
-        Entropy and two-qubit cuts are scored in one batched call; the
-        G-concurrence of a larger mixed branch takes one roof solve each.
-        Null branches (probability below 1e-14) report (0, 0).
-        """
-        left, right = tuple(cut[0]), tuple(cut[1])
-        dl, dr = dims.dim_of_labels(left), dims.dim_of_labels(right)
-        self.check_cut(dl, dr)
-        p = np.trace(ops, axis1=-2, axis2=-1).real
-        live = p >= NULL_BRANCH_TOL
-        values = np.zeros(p.size)
-        if np.any(live):
-            kept = ops[live]
-            sigmas = 0.5 * (kept + np.conj(np.swapaxes(kept, -1, -2))) / p[live, None, None]
-            if self.kind == "entropy":
-                values[live] = _entropy_of_rank1_stack(sigmas, dims, (left, right))
-            elif (dl, dr) == (2, 2):
-                values[live] = _wootters_stack(sigmas)
-            else:
-                values[live] = [self.density(DensityOperator(s, dims), (left, right))
-                                for s in sigmas]
-        return np.where(live, p, 0.0), values
+            return gconcurrence_mixed(rho, (left, right), self.roof_config)[0]
+        factor = (evecs * np.sqrt(evals))[None]
+        return float(self.factor_branches(factor, rho.dims, (left, right))[1][0])
 
     def factor_branches(self, factors: np.ndarray, dims: DimSpec,
                         cut) -> tuple[np.ndarray, np.ndarray]:
         """(probabilities, values) of a (K, d, r) stack of branch factors, the
-        branch of outcome k being F_k F_k^dag on the layout ``dims``, whose
-        parties run left then right across ``cut``.
+        branch of outcome k being F_k F_k^dag on the layout ``dims``, scored
+        across ``cut``; the parties are put in cut order first.
 
-        Rank one (r = 1) is the vector form. On a two-qubit cut the
-        concurrence and G go to the Wootters kernel on the factors, with no
-        eigendecomposition; anything else is scored as operators. Null
-        branches (probability below 1e-14) report (0, 0).
+        Rank one (r = 1): the Schmidt spectrum of each factor. Concurrence and
+        G on a two-qubit cut: the Wootters kernel on the Takagi matrices of the
+        factors. Anything else: one SVD of each factor gives the branch
+        spectrum and its top eigenvector, scored on its Schmidt spectrum; the
+        entropy root rejects a mixed branch, and a branch that ``needs_roof``
+        takes one roof solve. Null branches (probability below 1e-14) report
+        (0, 0).
         """
-        dl, dr = dims.dim_of_labels(cut[0]), dims.dim_of_labels(cut[1])
+        left, right = tuple(cut[0]), tuple(cut[1])
+        dl, dr = dims.dim_of_labels(left), dims.dim_of_labels(right)
+        self.check_cut(dl, dr)
+        if dims.labels != left + right:
+            factors, dims = _in_cut_order(factors, dims, left + right)
         if factors.shape[-1] == 1:
-            return self.vector_branches(factors.reshape(-1, dl, dr))
-        if self.kind == "entropy" or (dl, dr) != (2, 2):
-            ops = factors @ np.conj(np.swapaxes(factors, -1, -2))
-            return self.operator_branches(ops, dims, cut)
-        p = np.sum(np.abs(factors) ** 2, axis=(-2, -1))
+            s = np.linalg.svd(factors.reshape(-1, dl, dr), compute_uv=False)
+            lam = s * s
+            p = np.sum(lam, axis=-1)
+            live = p >= NULL_BRANCH_TOL
+            values = spectrum_value(self.kind, lam / np.where(live, p, 1.0)[:, None],
+                                    max(dl, dr))
+            return np.where(live, p, 0.0), np.where(live, values, 0.0)
+        if self.kind != "entropy" and (dl, dr) == (2, 2):
+            p = np.sum(np.abs(factors) ** 2, axis=(-2, -1))
+            live = p >= NULL_BRANCH_TOL
+            values = np.zeros(p.size)
+            values[live] = _wootters_from_factors(factors[live]) / p[live]
+            return np.where(live, p, 0.0), values
+        u, s, _ = np.linalg.svd(factors, full_matrices=False)
+        lam = s * s
+        p = np.sum(lam, axis=-1)
         live = p >= NULL_BRANCH_TOL
-        values = np.zeros(p.size)
-        values[live] = _wootters_from_factors(factors[live]) / p[live]
-        return np.where(live, p, 0.0), values
+        if self.kind == "entropy" and np.any(live & (lam[:, 0] < p * (1 - _PURITY_TOL))):
+            raise MixedBranchError("entropy root is defined on pure states only; got a mixed branch")
+        schmidt = np.linalg.svd(u[:, :, 0].reshape(-1, dl, dr), compute_uv=False)
+        values = spectrum_value(self.kind, schmidt * schmidt, max(dl, dr))
+        for k in np.flatnonzero(live & self.needs_roof(dims, (left, right), lam)):
+            from .roof import gconcurrence_mixed
+
+            op = factors[k] @ factors[k].conj().T
+            sigma = DensityOperator(0.5 * (op + op.conj().T) / p[k], dims)
+            values[k] = gconcurrence_mixed(sigma, (left, right), self.roof_config)[0]
+        return np.where(live, p, 0.0), np.where(live, values, 0.0)
 
     def __call__(self, state, cut=None) -> float:
         if isinstance(state, PureState):
-            return self.pure(state, cut)
+            state = state.to_density()
         return self.density(state, cut)
 
 

@@ -221,23 +221,3 @@ def random_instrument(d: int, n_outcomes: int, kraus_per_outcome, rng) -> list[l
     s_inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.conj().T
     return [[m @ s_inv_sqrt for m in ms] for ms in raw]
 
-
-def sample_random(kind: str, dims, seed, rank: int | None = None,
-                  outcomes: int | None = None):
-    """Dispatch sampler matching the CLI surface.
-
-    kind: "pure" | "density" | "unitary" | "povm"; dims is a DimSpec for
-    states and an int local dimension for unitary/povm.
-    """
-    rng = as_rng(seed)
-    if kind == "pure":
-        return random_pure(dims, rng)
-    if kind == "density":
-        return random_density(dims, rng, rank=rank)
-    if kind == "unitary":
-        return random_unitary(int(dims), rng)
-    if kind == "povm":
-        if outcomes is None:
-            raise ValueError("povm sampling needs an outcome count")
-        return random_povm(int(dims), outcomes, rng)
-    raise ValueError(f"unknown sample kind {kind!r}")

@@ -66,10 +66,12 @@ def state_from_dict(doc: dict):
     try:
         if kind == "pure":
             return PureState(arr, spec)
-        return DensityOperator(arr.reshape(d, d), spec)
+        rho = DensityOperator(arr.reshape(d, d), spec)
+        rho.eigensystem()  # raises on a negative eigenvalue
+        return rho
     except DimensionError:
         raise
-    except ValueError as exc:  # not normalized, not Hermitian, non-finite entries
+    except ValueError as exc:  # not normalized, not Hermitian, not positive, non-finite
         raise ParseError(f"invalid {kind} state: {exc}") from exc
 
 

@@ -168,8 +168,8 @@ class PureState:
 class DensityOperator:
     """A density matrix with a declared party layout.
 
-    Hermiticity and positivity are checked at construction; trace one is
-    enforced unless ``normalized=False``.
+    Hermiticity is checked at construction, positivity by ``eigensystem``;
+    trace one is enforced unless ``normalized=False``.
     """
 
     matrix: np.ndarray
@@ -289,18 +289,6 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     sub = rho.dims.subspec(keep_in_order)
     d = sub.total_dim
     return DensityOperator(tens.reshape(d, d), sub, rho.normalized)
-
-
-def partial_trace_pure(psi: PureState, keep) -> DensityOperator:
-    """Reduced density operator of a pure state (cheaper than via to_density)."""
-    keep = tuple(keep)
-    drop = [lab for lab in psi.dims.labels if lab not in set(keep)]
-    keep_in_order = [lab for lab in psi.dims.labels if lab in set(keep)]
-    vec = _permuted_vector(psi, keep_in_order + drop)
-    dk = psi.dims.dim_of_labels(keep_in_order)
-    mat = vec.reshape(dk, -1)
-    sub = psi.dims.subspec(keep_in_order)
-    return DensityOperator(mat @ mat.conj().T, sub, psi.normalized)
 
 
 def schmidt_decompose(psi: PureState, left_labels=None, right_labels=None) -> SchmidtDecomposition:

@@ -67,6 +67,17 @@ class TestStateFiles:
         path.write_text(json.dumps(doc))
         assert main(["measure", str(path)]) == 2
 
+    @pytest.mark.parametrize("measure", ["entropy", "wootters", "gconc"])
+    def test_negative_density_exits_2(self, measure, tmp_path, capsys):
+        diag = [1.2, 0.1, 0.1, -0.4]  # Hermitian, trace one, not positive
+        data = [[diag[i] if i == j else 0.0, 0.0] for i in range(4) for j in range(4)]
+        doc = {"dims": [{"label": "A", "dim": 2, "role": "A"},
+                        {"label": "B", "dim": 2, "role": "B"}],
+               "kind": "density", "data": data}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["measure", str(path), "--measure", measure]) == 2
+
     def test_missing_field(self):
         with pytest.raises(ParseError):
             state_from_dict({"kind": "pure", "data": []})
@@ -114,6 +125,32 @@ class TestCli:
         assert main(["measure", str(tmp_path / "p4.json"), "--measure", "gconc"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["results"]["value"] == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("d_b", [3, 2])
+    def test_measure_mixed_gconc_closed_form(self, tmp_path, capsys, d_b):
+        # zero padding makes G exactly 0 on a 2 x 3 cut, and on 2 x 2 it is the
+        # Wootters concurrence: neither is a roof search
+        dims = DimSpec.make(("A", 2, "A"), ("B", d_b, "B"))
+        state = tmp_path / "mixed.json"
+        save_state(random_density(dims, np.random.default_rng(3), rank=2), state)
+        assert main(["measure", str(state), "--measure", "gconc"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["bound"] == "exact"
+        assert results["method"] == "closed form"
+        assert results["converged"] is True
+        if d_b == 3:
+            assert results["value"] == 0.0
+
+    def test_measure_mixed_gconc_roof(self, tmp_path, capsys):
+        dims = DimSpec.make(("A", 3, "A"), ("B", 3, "B"))
+        state = tmp_path / "mixed.json"
+        save_state(random_density(dims, np.random.default_rng(4), rank=2), state)
+        assert main(["measure", str(state), "--measure", "gconc"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["bound"] == "upper"
+        assert results["method"] == "convex-roof optimizer (upper bound)"
+        assert isinstance(results["converged"], bool)
+        assert 0.0 <= results["value"] <= 1.0
 
     def test_malformed_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -8,13 +8,24 @@ from entloc import (
     DimensionError,
     Instrument,
     PureState,
+    RoofConfig,
+    concurrence_measure,
+    entropy_measure,
     entropy_of_entanglement,
     f_factor,
+    gconcurrence_measure,
+    gconcurrence_mixed,
     gconcurrence_pure,
     wootters_concurrence,
 )
 from entloc.catalog import bell_state, phi_plus_4_state, phi_plus_vector, werner_state
-from entloc.sampling import random_instrument, random_pure, random_unitary, spawn_rngs
+from entloc.sampling import (
+    random_density,
+    random_instrument,
+    random_pure,
+    random_unitary,
+    spawn_rngs,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -130,6 +141,40 @@ class TestWootters:
         psi = random_pure(pair_spec(3, 3), rng)
         with pytest.raises(DimensionError):
             wootters_concurrence(psi.to_density())
+
+
+class TestRootMeasure:
+    def test_roof_branch_is_gconcurrence_mixed(self):
+        # on a mixed state across a cut larger than 2 x 2, density hands rho
+        # itself to the roof, so the two agree bit for bit
+        config = RoofConfig(restarts=4, max_iters=60)
+        for rng in spawn_rngs(31, 3):
+            rho = random_density(pair_spec(3, 3), rng, rank=2)
+            assert gconcurrence_measure(config).density(rho) == \
+                gconcurrence_mixed(rho, config=config)[0]
+
+    def test_parties_put_in_cut_order(self):
+        # parties listed B, A, D, C and scored across the 4 x 4 cut AC | BD
+        dims = DimSpec.make(("B", 2, "B"), ("A", 2, "A"), ("D", 2, "B"), ("C", 2, "A"))
+        psi = random_pure(dims, np.random.default_rng(12))
+        cut = (("A", "C"), ("B", "D"))
+        rho = psi.to_density()
+        assert entropy_measure().density(rho, cut) == pytest.approx(
+            entropy_of_entanglement(psi, cut), abs=1e-12)
+        assert gconcurrence_measure().density(rho, cut) == pytest.approx(
+            gconcurrence_pure(psi, cut), abs=1e-12)
+        assert entropy_measure()(psi, cut) == entropy_measure().density(rho, cut)
+
+    def test_roof_rule(self):
+        measure = gconcurrence_measure()
+        mixed, pure = np.array([0.5, 0.5, 0.0]), np.array([1.0, 1e-12, 0.0])
+        assert measure.needs_roof(pair_spec(3, 3), None, mixed)
+        assert not measure.needs_roof(pair_spec(3, 3), None, pure)
+        assert not measure.needs_roof(pair_spec(2, 3), None, mixed)  # zero padding: 0
+        assert not measure.needs_roof(pair_spec(2, 2), None, mixed)  # Wootters
+        assert not concurrence_measure().needs_roof(pair_spec(3, 3), None, mixed)
+        np.testing.assert_array_equal(
+            measure.needs_roof(pair_spec(3, 3), None, np.stack([mixed, pure])), [True, False])
 
 
 class TestFFactor:

@@ -10,7 +10,6 @@ from entloc import (
     PureState,
     conditional_state,
     partial_trace,
-    partial_trace_pure,
     schmidt_decompose,
     tensor_product,
 )
@@ -20,7 +19,6 @@ from entloc.sampling import (
     random_povm,
     random_pure,
     random_unitary,
-    sample_random,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -184,8 +182,8 @@ class TestSchmidt:
         rng = np.random.default_rng(9)
         spec = DimSpec.make(("A", 2, "A"), ("B", 4, "B"))
         psi = random_pure(spec, rng)
-        ra = partial_trace_pure(psi, ("A",))
-        rb = partial_trace_pure(psi, ("B",))
+        ra = partial_trace(psi.to_density(), ("A",))
+        rb = partial_trace(psi.to_density(), ("B",))
         ea, _ = ra.eigensystem()
         eb, _ = rb.eigensystem()
         np.testing.assert_allclose(np.sort(ea)[::-1][:2], np.sort(eb)[::-1][:2], atol=1e-10)
@@ -247,25 +245,23 @@ class TestConditionalState:
 
 class TestSampling:
     def test_pure_determinism(self):
-        a = sample_random("pure", 4, seed=7)
-        b = sample_random("pure", 4, seed=7)
+        a = random_pure(4, np.random.default_rng(7))
+        b = random_pure(4, np.random.default_rng(7))
         np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
 
     def test_povm_completeness(self):
-        povm = sample_random("povm", 2, seed=1, outcomes=3)
+        povm = random_povm(2, 3, np.random.default_rng(1))
         np.testing.assert_allclose(sum(povm), np.eye(2), atol=1e-12)
 
     def test_density_rank(self):
-        rho = sample_random(
-            "density", DimSpec.make(("A", 4, "A")), seed=3, rank=2
-        )
+        rho = random_density(DimSpec.make(("A", 4, "A")), np.random.default_rng(3), rank=2)
         evals, _ = rho.eigensystem()
         assert np.count_nonzero(evals > 1e-10) == 2
 
     def test_unitary(self):
-        u = sample_random("unitary", 5, seed=2)
+        u = random_unitary(5, np.random.default_rng(2))
         np.testing.assert_allclose(u.conj().T @ u, np.eye(5), atol=1e-12)
 
     def test_rank_bound(self):
         with pytest.raises(ValueError):
-            sample_random("density", DimSpec.make(("A", 2, "A")), seed=0, rank=5)
+            random_density(DimSpec.make(("A", 2, "A")), np.random.default_rng(0), rank=5)
