@@ -88,7 +88,8 @@ def cmd_measure(args) -> int:
     if measure.needs_roof(rho.dims, None, rho.eigensystem()[0]):
         value, ens = gconcurrence_mixed(rho)
         results.update(method="convex-roof optimizer (upper bound)",
-                       converged=ens.converged, bound="upper")
+                       converged=ens.converged, bound="upper",
+                       restart_values=list(ens.restart_values), winner=ens.winner)
     else:
         value = measure.density(rho)
     results["value"] = value

@@ -4,16 +4,18 @@ helper (Z-role) parties can steer onto the A-B pair with a product POVM.
 ``optimize_le`` searches rank-one product POVMs, each party's outcomes being
 the rows of an isometry Q from the phase-fixed QR of a Gaussian pre-image x.
 A seeded multi-start random-step ascent over the pre-images, run in lockstep
-by ``sampling.lockstep_search`` (shared with the convex roof), finds a basin,
-and one L-BFGS-B run polishes the best restart. The polish follows the exact
-gradient of the branch average wherever the root has a closed-form
-derivative (the pattern of Audenaert, Verstraete and De Moor, PRA 64, 052304
-(2001)): one batched SVD of the branch coefficient matrices on a pure state,
-the Takagi matrices of the branch factors for concurrence and G on a mixed
-2 x 2 cut; the gradient is carried back through the row-wise Kronecker
-product of the outcome vectors and the QR to x. The remaining cases (G on a
-larger mixed cut, entropy on a mixed state) polish on scipy's
-finite-difference gradient. ``average_root_entanglement`` scores a fixed
+by ``sampling.lockstep_search`` (shared with the convex roof) with each
+party's isometry kept next to its pre-image, finds a basin, and
+``sampling.lockstep_lbfgs`` (the roof's polish too) polishes the best
+restart. The polish follows the exact gradient of the branch average
+wherever the root has a closed-form derivative (the pattern of Audenaert,
+Verstraete and De Moor, PRA 64, 052304 (2001)): one batched SVD of the branch
+coefficient matrices on a pure state, the Takagi matrices of the branch
+factors for concurrence and G on a mixed 2 x 2 cut; the gradient is carried
+back through the row-wise Kronecker product of the outcome vectors and the
+QR to x. The remaining cases (G on a larger mixed cut, entropy on a mixed
+state) polish on a forward-difference gradient, its n + 1 points scored in
+one batched call. ``average_root_entanglement`` scores a fixed
 POVM in the same factor form, so the value ``optimize_le`` reports is the
 value its search reached. Values carry LOWER-bound semantics (the true
 maximum can only be higher). ``grid_oracle_le`` is the independent
@@ -27,14 +29,15 @@ import string
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .measures import _YY, NULL_BRANCH_TOL, RootMeasure, _takagi_stack, spectrum_value
-from .sampling import lockstep_search, phase_fixed_qr, phase_fixed_qr_backward
+from .sampling import lockstep_lbfgs, lockstep_search, phase_fixed_qr, phase_fixed_qr_backward
 from .states import DensityOperator, DimSpec, DimensionError
 
-# fixed stopping rule of the gradient polish
-_POLISH_OPTIONS = {"ftol": 1e-15, "gtol": 1e-10}
+# fixed stop tests of the gradient polish: relative reduction, largest |gradient|
+_POLISH_FTOL, _POLISH_GTOL = 1e-15, 1e-10
+# relative forward-difference step: h = sqrt(eps) max(1, |x|), signed like x
+_FD_STEP = np.sqrt(np.finfo(float).eps)
 # eigenvalues of a POVM element below this share of its largest are its null space
 _ELEMENT_RANK_TOL = 1e-12
 
@@ -107,6 +110,12 @@ class LEResult:
     restart_values: tuple[float, ...] = ()
     restart_iterations: tuple[int, ...] = ()
     winner: int | None = None
+    # the polish of the winner: its iterations, whether it raised the value
+    # and why it stopped ("gtol", "ftol", "line search" or "max_iters"; None
+    # when no polish ran)
+    polish_iterations: int = 0
+    polish_won: bool = False
+    polish_stop: str | None = None
 
     def to_dict(self, measure_name: str = "") -> dict:
         return {
@@ -120,6 +129,9 @@ class LEResult:
             "restart_values": list(self.restart_values),
             "restart_iterations": list(self.restart_iterations),
             "winner": self.winner,
+            "polish_iterations": self.polish_iterations,
+            "polish_won": self.polish_won,
+            "polish_stop": self.polish_stop,
             "branches": [{"p": p, "branch_value": v} for p, v in self.branches],
             "povm": [
                 [[[float(c.real), float(c.imag)] for c in f.ravel()] for f in out]
@@ -224,12 +236,14 @@ def _flatten(arrays) -> np.ndarray:
 
 
 def _unflatten(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Inverse of ``_flatten``, batched over any leading axes of ``flat``."""
     out = []
     off = 0
+    lead = flat.shape[:-1]
     for shape in shapes:
         n = int(np.prod(shape))
-        re, im = flat[off : off + n], flat[off + n : off + 2 * n]
-        out.append(re.reshape(shape) + 1j * im.reshape(shape))
+        re, im = flat[..., off : off + n], flat[..., off + n : off + 2 * n]
+        out.append(re.reshape(lead + tuple(shape)) + 1j * im.reshape(lead + tuple(shape)))
         off += 2 * n
     return out
 
@@ -293,8 +307,8 @@ class _FactorEvaluator:
     ``average_and_gradient`` carries the exact gradient back to the Gaussian
     pre-images where the root has a closed form (``exact_gradient``): r = 1
     under every root, and r > 1 on a 2 x 2 cut under concurrence and G. The
-    remaining cases (G on a larger mixed cut, entropy on a mixed state) are
-    scored by value only.
+    remaining cases (G on a larger mixed cut, entropy on a mixed state) take
+    forward differences (``difference_rows``).
     """
 
     def __init__(self, rho: DensityOperator, measure: RootMeasure):
@@ -361,11 +375,30 @@ class _FactorEvaluator:
         return value, [phase_fixed_qr_backward(q, r, g)
                        for (q, r), g in zip(qrs, _outcome_vectors_backward(isos, g_w))]
 
+    def gradient_rows(self, flat: np.ndarray, shapes):
+        """Averages and exact gradients at a (k, n) stack of pre-images, each
+        row flattened by ``_flatten``; ``shapes`` are the parties' (K_i, d_i)."""
+        out = [self.average_and_gradient(_unflatten(row, shapes)) for row in flat]
+        return np.array([v for v, _ in out]), np.array([_flatten(g) for _, g in out])
+
+    def difference_rows(self, flat: np.ndarray, shapes):
+        """``gradient_rows`` by forward differences, step sqrt(eps) max(1, |x|)
+        away from zero; a row's n + 1 points are scored in one call."""
+        values, grads = [], []
+        for row in flat:
+            h = _FD_STEP * np.where(row >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(row))
+            h = (row + h) - row  # the step as represented
+            points = np.vstack([row, row + np.diag(h)])
+            avg = self.averages([phase_fixed_qr(x)[0] for x in _unflatten(points, shapes)])
+            values.append(avg[0])
+            grads.append((avg[1:] - avg[0]) / h)
+        return np.array(values), np.array(grads)
+
 
 def optimize_le(rho: DensityOperator, measure: RootMeasure,
                 config: LEConfig | None = None) -> LEResult:
     """Seeded multi-start ascent over rank-one product POVMs on the helpers,
-    restarts in lockstep, then an L-BFGS-B polish of the best restart.
+    restarts in lockstep, then an L-BFGS polish of the best restart.
 
     Returns the best average found (a lower bound to the LE), together with
     the realizing POVM, its recomputed branch data and the ascent's
@@ -385,40 +418,45 @@ def optimize_le(rho: DensityOperator, measure: RootMeasure,
     evaluator = _FactorEvaluator(rho, measure)
 
     values, params, flags, iterations = lockstep_search(
-        lambda xs: evaluator.averages([phase_fixed_qr(x)[0] for x in xs]),
-        list(zip(n_out, z_dims)), config.seed, config.restarts, config.max_iters,
-        accept=config.tol / 10, reset=config.tol, shrink=0.5,
-        patience=8 * len(z_dims), stop=1e-5)
+        evaluator.averages, list(zip(n_out, z_dims)), config.seed, config.restarts,
+        config.max_iters, accept=config.tol / 10, reset=config.tol, shrink=0.5,
+        patience=8 * len(z_dims), stop=1e-5, transform=lambda x: phase_fixed_qr(x)[0])
     winner = int(np.argmax(values))  # the first restart with the best value
     best_params = [x[winner] for x in params]
     converged = bool(flags[winner])  # of the restart (or polish) that is returned
     total_iters = int(np.sum(iterations))
     evaluations = config.restarts + total_iters
+    polish_iterations, polish_won, polish_stop = 0, False, None
 
     if config.polish:
         shapes = [p.shape for p in best_params]
+        flat0 = _flatten(best_params)
         if evaluator.exact_gradient:
-            def objective(flat):
-                value, grads = evaluator.average_and_gradient(_unflatten(flat, shapes))
-                return -value, -_flatten(grads)
-        else:  # scipy's finite-difference gradient
-            def objective(flat):
-                return -evaluator.average([phase_fixed_qr(x)[0]
-                                           for x in _unflatten(flat, shapes)])
+            rows, per_gradient = evaluator.gradient_rows, 1
+        else:
+            rows, per_gradient = evaluator.difference_rows, flat0.size + 1
 
-        res = minimize(objective, _flatten(best_params), jac=evaluator.exact_gradient,
-                       method="L-BFGS-B", options=_POLISH_OPTIONS)
-        evaluations += res.nfev
-        if -res.fun > values[winner]:
-            best_params = _unflatten(res.x, shapes)
-            converged = bool(res.success)
+        def fun_and_grad(flat):  # the polish minimizes -average
+            averages, grads = rows(flat, shapes)
+            return -averages, -grads
+
+        flat, f, iters, evals, success, stop = lockstep_lbfgs(
+            fun_and_grad, flat0[None], ftol=_POLISH_FTOL, gtol=_POLISH_GTOL)
+        evaluations += int(evals[0]) * per_gradient
+        polish_iterations, polish_stop = int(iters[0]), stop[0]
+        polish_won = bool(-f[0] > values[winner])
+        if polish_won:
+            best_params = _unflatten(flat[0], shapes)
+            converged = bool(success[0])
 
     povm = _povm_from_isometries(z_labels, [phase_fixed_qr(x)[0] for x in best_params])
     result = average_root_entanglement(rho, povm, measure)
     return LEResult(result.value, povm, result.branches, converged=converged,
                     seed=config.seed, iterations=total_iters, evaluations=evaluations,
                     restart_values=tuple(float(v) for v in values),
-                    restart_iterations=tuple(int(i) for i in iterations), winner=winner)
+                    restart_iterations=tuple(int(i) for i in iterations), winner=winner,
+                    polish_iterations=polish_iterations, polish_won=polish_won,
+                    polish_stop=polish_stop)
 
 
 def grid_oracle_le(rho: DensityOperator, measure: RootMeasure,

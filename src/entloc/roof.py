@@ -16,10 +16,11 @@ pre-image x of the isometry (U = Q of the phase-fixed QR x = Q R), run by
 restarts run in lockstep: each keeps its own generator, step and stopping
 state, and every iteration scores the proposals of all live restarts in one
 batched QR and one batched determinant. The best three restarts are then
-polished by L-BFGS-B on the exact gradient, carried from
-d|det C|^(2/d) back through the QR to x (the pattern of Audenaert, Verstraete
-and De Moor, PRA 64, 052304 (2001)). Returned values carry UPPER-bound
-semantics: the true roof can only be lower.
+polished by ``sampling.lockstep_lbfgs``, again in lockstep, on the exact
+gradient, carried from d|det C|^(2/d) back through the QR to x (the pattern
+of Audenaert, Verstraete and De Moor, PRA 64, 052304 (2001)); the lowest
+value wins. Returned values carry UPPER-bound semantics: the true roof can
+only be lower.
 """
 
 from __future__ import annotations
@@ -27,11 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .measures import _cut_or_default
-from .sampling import lockstep_search, phase_fixed_qr, phase_fixed_qr_backward
+from .sampling import lockstep_lbfgs, lockstep_search, phase_fixed_qr, phase_fixed_qr_backward
 from .states import DensityOperator, DimSpec, PureState
+
+
+# L-BFGS-B's default stop tests: relative reduction of f, largest |gradient|
+_POLISH_FTOL, _POLISH_GTOL = 2.220446049250313e-09, 1e-5
 
 
 @dataclass(frozen=True)
@@ -46,12 +50,21 @@ class RoofConfig:
 
 @dataclass(frozen=True)
 class DecompositionEnsemble:
-    """Weighted pure-state decomposition of a density operator."""
+    """Weighted pure-state decomposition of a density operator.
+
+    ``restart_values`` holds each restart's final value (empty where no
+    search ran): its polished value for the three best of the search, its
+    search value otherwise. ``winner`` is the polished restart with the
+    lowest value, the one returned; ``converged`` says whether its polish
+    converged.
+    """
 
     weights: np.ndarray
     states: tuple[PureState, ...]
     value: float
     converged: bool
+    restart_values: tuple[float, ...] = ()
+    winner: int | None = None
 
     def reconstruct(self, dims: DimSpec) -> DensityOperator:
         mat = sum(
@@ -75,7 +88,8 @@ def _objective(x: np.ndarray, w: np.ndarray, d: int) -> np.ndarray:
 
 
 def _objective_and_gradient(x: np.ndarray, w: np.ndarray, d: int):
-    """Objective of one m x r pre-image and its gradient G_x = df/dRe x + i df/dIm x.
+    """Objective of an m x r pre-image, or of each in a (..., m, r) stack,
+    and its gradient G_x = df/dRe x + i df/dIm x.
 
     The chain: G_C = 2 |det C|^(2/d) C^-H (0 where det C = 0); G_Q = G_C
     flattened against conj(w); then the backward pass of the phase-fixed QR
@@ -84,11 +98,11 @@ def _objective_and_gradient(x: np.ndarray, w: np.ndarray, d: int):
     q, r, mats = _ensemble_stack(x, w, d)
     det = np.linalg.det(mats)
     a = np.abs(det) ** (2.0 / d)
-    g_c = np.zeros_like(mats)
-    live = det != 0
-    g_c[live] = 2.0 * a[live, None, None] * np.linalg.inv(mats[live]).conj().swapaxes(-1, -2)
-    g_q = g_c.reshape(q.shape[0], -1) @ w.conj()
-    return d * float(np.sum(a)), phase_fixed_qr_backward(q, r, g_q)
+    live = (det != 0)[..., None, None]
+    inv = np.linalg.inv(np.where(live, mats, np.eye(d)))
+    g_c = np.where(live, (2.0 * a)[..., None, None] * inv.conj().swapaxes(-1, -2), 0.0)
+    g_q = g_c.reshape(q.shape[:-1] + (-1,)) @ w.conj()
+    return d * np.sum(a, axis=-1), phase_fixed_qr_backward(q, r, g_q)
 
 
 def gconcurrence_mixed(rho: DensityOperator, cut=None, config: RoofConfig | None = None):
@@ -135,29 +149,29 @@ def gconcurrence_mixed(rho: DensityOperator, cut=None, config: RoofConfig | None
         return val, ens
 
     # minimize by maximizing -f, which is exact in floating point
-    vals, (xs,), flags, _ = lockstep_search(
+    vals, (xs,), _, _ = lockstep_search(
         lambda x: -_objective(x[0], w, d), [(m, r)], config.seed, config.restarts,
         config.max_iters, accept=1e-12, reset=0.0, shrink=0.6, patience=20, stop=1e-3)
-    vals = -vals
 
-    def unflatten(flat: np.ndarray) -> np.ndarray:
-        return flat[: m * r].reshape(m, r) + 1j * flat[m * r :].reshape(m, r)
+    # the polish's rows: real then imaginary parts of each restart's pre-image
+    def flatten(z: np.ndarray) -> np.ndarray:
+        z = z.reshape(len(z), -1)
+        return np.concatenate([z.real, z.imag], axis=1)
 
     def fun_and_grad(flat: np.ndarray):
-        value, g_x = _objective_and_gradient(unflatten(flat), w, d)
-        return value, np.concatenate([g_x.real.ravel(), g_x.imag.ravel()])
+        values, g_x = _objective_and_gradient(
+            (flat[:, : m * r] + 1j * flat[:, m * r :]).reshape(-1, m, r), w, d)
+        return values, flatten(g_x)
 
-    # gradient polish of the best few basins; ``converged`` follows the
-    # point that is returned: the best restart, or the polish that beat it
-    order = np.argsort(vals, kind="stable")
-    best_val, best_x, converged = float(vals[order[0]]), xs[order[0]], bool(flags[order[0]])
-    for i in order[:3]:
-        flat0 = np.concatenate([xs[i].real.ravel(), xs[i].imag.ravel()])
-        res = minimize(fun_and_grad, flat0, jac=True, method="L-BFGS-B")
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_x = unflatten(res.x)
-            converged = bool(res.success)
+    # gradient polish of the three best basins, with L-BFGS-B's default stop
+    # tests; a polish only descends, so the lowest polished value wins
+    vals = -vals
+    order = np.argsort(vals, kind="stable")[:3]
+    flat, vals[order], _, _, success, _ = lockstep_lbfgs(
+        fun_and_grad, flatten(xs[order]), ftol=_POLISH_FTOL, gtol=_POLISH_GTOL)
+    row = int(np.argmin(vals[order]))
+    winner, best_val, converged = int(order[row]), float(vals[order[row]]), bool(success[row])
+    best_x = (flat[row, : m * r] + 1j * flat[row, m * r :]).reshape(m, r)
 
     cols = w @ phase_fixed_qr(best_x)[0].T
     weights = np.linalg.norm(cols, axis=0) ** 2
@@ -167,5 +181,6 @@ def gconcurrence_mixed(rho: DensityOperator, cut=None, config: RoofConfig | None
         for i in range(cols.shape[1])
         if keep[i]
     )
-    ens = DecompositionEnsemble(weights[keep], states, float(best_val), converged)
-    return float(best_val), ens
+    ens = DecompositionEnsemble(weights[keep], states, best_val, converged,
+                                tuple(float(v) for v in vals), winner)
+    return best_val, ens

@@ -53,6 +53,7 @@ def state_to_dict(state) -> dict:
 def state_from_dict(doc: dict):
     try:
         spec = DimSpec.make(*[(p["label"], int(p["dim"]), p["role"]) for p in doc["dims"]])
+        d = spec.total_dim  # overflows on dimensions past the int64 range
         kind = doc["kind"]
         data = doc["data"]
     except DimensionError:
@@ -61,7 +62,6 @@ def state_from_dict(doc: dict):
         raise ParseError(f"missing or malformed state field: {exc}") from exc
     if kind not in ("pure", "density"):
         raise ParseError(f"unknown state kind {kind!r}")
-    d = spec.total_dim
     arr = _decode_complex_array(data, d if kind == "pure" else d * d)
     try:
         if kind == "pure":

@@ -1,11 +1,15 @@
 import json
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entloc import DimensionError, DimSpec, PureState
+import entloc
+from entloc import DimensionError, DimSpec, PureState, RoofConfig
 from entloc.catalog import bell_state, build_locked_state, werner_state
 from entloc.cli import main
 from entloc.protocols import locked_state_protocol
@@ -90,6 +94,12 @@ class TestStateFiles:
                  "kind": "pure", "data": [[1.0, 0.0]]}
             )
 
+    def test_dimension_past_int64_is_parse_error(self):
+        # found by the fuzzed-document test: the total dimension overflowed
+        with pytest.raises(ParseError):
+            state_from_dict({"dims": [{"label": "A", "dim": 2.0 ** 64, "role": "A"}],
+                             "kind": "pure", "data": []})
+
 
 class TestProtocolFiles:
     def test_round_trip(self, tmp_path):
@@ -151,6 +161,10 @@ class TestCli:
         assert results["method"] == "convex-roof optimizer (upper bound)"
         assert isinstance(results["converged"], bool)
         assert 0.0 <= results["value"] <= 1.0
+        # every restart's final value; the winner's is the one reported
+        assert len(results["restart_values"]) == RoofConfig().restarts
+        assert results["restart_values"][results["winner"]] == results["value"]
+        assert results["value"] == min(results["restart_values"])
 
     def test_malformed_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -212,6 +226,11 @@ class TestCli:
         assert len(results["restart_values"]) == len(results["restart_iterations"]) == 2
         assert sum(results["restart_iterations"]) == results["iterations"]
         assert results["restart_values"][results["winner"]] == max(results["restart_values"])
+        # the polish of the winner: its iterations, whether it won, why it stopped
+        assert results["polish_stop"] in ("gtol", "ftol", "line search")
+        assert isinstance(results["polish_iterations"], int)
+        assert isinstance(results["polish_won"], bool)
+        assert results["polish_iterations"] > 0 or not results["polish_won"]
 
     def test_protocol_command(self, tmp_path, capsys):
         state = tmp_path / "locked.json"
@@ -316,3 +335,13 @@ class TestFuzzedDocuments:
             protocol_from_dict(doc)
         except (ParseError, DimensionError):
             pass
+
+
+def test_import_leaves_scipy_out():
+    # the library and its CLI run on numpy alone; scipy is a test-time reference
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import entloc, entloc.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(entloc.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

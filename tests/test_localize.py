@@ -577,3 +577,64 @@ class TestPolish:
         assert polished.iterations == ascent.iterations
         assert polished.evaluations > ascent.evaluations
         assert polished.value >= ascent.value - 1e-12
+
+    @pytest.mark.parametrize("case", [
+        ("pure 2x2x3 G", lambda: random_pure(DimSpec.make(
+            ("A", 2, "A"), ("B", 2, "B"), ("C", 3, "Z")), np.random.default_rng(4)).to_density(),
+         gconcurrence_measure()),
+        # entropy on a mixed state: the polish runs on forward differences
+        ("mixed helper entropy", bell_with_idle_helper, entropy_measure()),
+    ], ids=lambda c: c[0])
+    def test_polish_diagnostics(self, case):
+        _, make, measure = case
+        rho = make()
+        ascent = optimize_le(rho, measure, LEConfig(restarts=3, max_iters=60, seed=11,
+                                                    polish=False))
+        assert (ascent.polish_iterations, ascent.polish_won,
+                ascent.polish_stop) == (0, False, None)
+        res = optimize_le(rho, measure, LEConfig(restarts=3, max_iters=60, seed=11))
+        assert res.polish_stop in ("gtol", "ftol", "line search")
+        assert res.polish_iterations > 0 or not res.polish_won
+        best = max(res.restart_values)
+        if res.polish_won:
+            assert res.value > best - 1e-12
+        else:
+            assert res.value == pytest.approx(best, abs=1e-12)
+            assert res.converged == ascent.converged
+        payload = res.to_dict("m")
+        assert (payload["polish_iterations"], payload["polish_won"], payload["polish_stop"]) == (
+            res.polish_iterations, res.polish_won, res.polish_stop)
+
+
+def test_difference_gradient_matches_exact_gradient():
+    # a mixed 2 x 2 cut under G has an exact gradient; the forward-difference
+    # rows must agree with it
+    dims = DimSpec.make(("A", 2, "A"), ("B", 2, "B"), ("C", 2, "Z"), ("D", 2, "Z"))
+    rng = np.random.default_rng(17)
+    evaluator = _FactorEvaluator(random_density(dims, rng, rank=2), gconcurrence_measure())
+    assert evaluator.r == 2 and evaluator.exact_gradient
+    shapes = [(4, 2), (4, 2)]
+    flat = rng.standard_normal((3, 2 * sum(k * d for k, d in shapes)))
+    values, grads = evaluator.gradient_rows(flat, shapes)
+    fd_values, fd_grads = evaluator.difference_rows(flat, shapes)
+    np.testing.assert_allclose(fd_values, values, atol=1e-14, rtol=0)
+    np.testing.assert_allclose(fd_grads, grads, atol=1e-6, rtol=0)
+
+
+def test_ascent_transforms_only_the_moved_party(monkeypatch):
+    # two helpers: one QR per party for the starts, then one per lockstep
+    # iteration (the moved party's proposals), then one per party for the POVM
+    import entloc.localize as localize
+
+    calls = []
+
+    def counting_qr(x):
+        calls.append(x.shape)
+        return phase_fixed_qr(x)
+
+    monkeypatch.setattr(localize, "phase_fixed_qr", counting_qr)
+    dims = DimSpec.make(("A", 2, "A"), ("B", 2, "B"), ("C", 2, "Z"), ("D", 2, "Z"))
+    rho = random_pure(dims, np.random.default_rng(8)).to_density()
+    res = optimize_le(rho, gconcurrence_measure(),
+                      LEConfig(restarts=3, max_iters=120, seed=5, polish=False))
+    assert len(calls) == 2 + max(res.restart_iterations) + 2
