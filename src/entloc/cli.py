@@ -2,11 +2,14 @@
 
 Subcommands: ``measure`` (score a state file), ``le`` (run the localizable
 entanglement ascent), ``protocol`` (evaluate a protocol file), ``reproduce``
-(the locked-state comparison table), ``properties`` (seeded invariant
-suites), ``emit`` (write catalog states to the JSON format).
+(the locked-state comparison table), ``properties`` (one seeded check of
+``entloc.checks``: ``jamio``, ``gconc``, ``convexity`` or ``monotonicity``,
+the checks of acceptance criteria 7, 5, 8 and 3 at a chosen seed and trial
+count), ``emit`` (write catalog states to the JSON format).
 
-Exit codes: 0 ok, 1 property violation, 2 bad input (a parse error, or the
-entropy root asked to score a mixed state), 3 dimension error.
+Exit codes: 0 ok, 1 property violation, 2 bad input (a parse error, a bad
+option value, ``ENTLOC_SEED`` or ``--out`` path, or the entropy root asked to
+score a mixed state), 3 dimension error.
 """
 
 from __future__ import annotations
@@ -17,32 +20,15 @@ import os
 import sys
 import time
 
-import numpy as np
-
-from . import __version__
+from . import __version__, checks
 from .catalog import build_locked_state, canonical_state
-from .localize import LEConfig, average_root_entanglement, optimize_le
-from .measures import (
-    DimensionError,
-    Instrument,
-    MixedBranchError,
-    concurrence_measure,
-    entropy_measure,
-    gconcurrence_measure,
-    gconcurrence_pure,
-)
-from .jamiolkowski import from_state
-from .protocols import evaluate_protocol, monotonicity_gap, locked_state_protocol
+from .localize import LEConfig, optimize_le
+from .measures import (DimensionError, MixedBranchError, concurrence_measure, entropy_measure,
+                       gconcurrence_measure)
+from .protocols import evaluate_protocol, locked_state_protocol
 from .roof import gconcurrence_mixed
-from .sampling import (
-    random_density,
-    random_instrument,
-    random_povm,
-    random_pure,
-    spawn_rngs,
-)
 from .serialize import ParseError, load_protocol, load_state, save_state
-from .states import DensityOperator, DimSpec, PureState, conditional_state
+from .states import DensityOperator, PureState
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -56,8 +42,25 @@ MEASURES = {
 }
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type of --seed and --trials: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _default_seed() -> int:
-    return int(os.environ.get("ENTLOC_SEED", "0"))
+    try:
+        return _non_negative_int(os.environ.get("ENTLOC_SEED", "0"))
+    except argparse.ArgumentTypeError as exc:
+        raise ParseError(f"ENTLOC_SEED: {exc}") from exc
+
+
+def _le_config(**budget) -> LEConfig:
+    try:
+        return LEConfig(**budget)
+    except ValueError as exc:
+        raise ParseError(f"bad optimizer budget: {exc}") from exc
 
 
 def _emit_report(args, command: str, results: dict, config: dict, t0: float) -> None:
@@ -103,11 +106,8 @@ def cmd_le(args) -> int:
     state = load_state(args.state)
     rho = _as_density(state)
     measure = MEASURES[args.measure]()
-    try:
-        config = LEConfig(restarts=args.restarts, seed=args.seed, tol=args.tol,
-                          max_iters=args.max_iters)
-    except ValueError as exc:
-        raise ParseError(f"bad optimizer budget: {exc}") from exc
+    config = _le_config(restarts=args.restarts, seed=args.seed, tol=args.tol,
+                        max_iters=args.max_iters)
     result = optimize_le(rho, measure, config)
     _emit_report(args, "le", result.to_dict(args.measure),
                  {"measure": args.measure, "state": args.state, "seed": args.seed,
@@ -130,15 +130,14 @@ def cmd_protocol(args) -> int:
 def cmd_reproduce(args) -> int:
     """Locked-state comparison: collaboration value vs localizable value."""
     t0 = time.perf_counter()
-    psi = build_locked_state()
-    rho = psi.to_density()
+    config = _le_config(restarts=args.restarts, seed=args.seed)
+    config_g = _le_config(restarts=max(4, args.restarts // 4), seed=args.seed)
+    rho = build_locked_state().to_density()
 
     eoc = evaluate_protocol(rho, locked_state_protocol(), entropy_measure())
     eoc_g = evaluate_protocol(rho, locked_state_protocol(), gconcurrence_measure())
-    le = optimize_le(rho, entropy_measure(),
-                     LEConfig(restarts=args.restarts, seed=args.seed))
-    le_g = optimize_le(rho, gconcurrence_measure(),
-                       LEConfig(restarts=max(4, args.restarts // 4), seed=args.seed))
+    le = optimize_le(rho, entropy_measure(), config)
+    le_g = optimize_le(rho, gconcurrence_measure(), config_g)
 
     rows = [
         ("EoC(entropy)", eoc.average, "exact (two-round protocol)"),
@@ -162,106 +161,23 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# property suites
-
-
-def _suite_jamio(trials: int, seed: int) -> list[str]:
-    failures = []
-    for i, rng in enumerate(spawn_rngs(seed, trials)):
-        dims = DimSpec.make(("A", 2, "A"), ("B", 2, "B"), ("C", 2, "Z"))
-        rho = random_density(dims, rng, rank=int(rng.integers(1, 5)))
-        jam = from_state(rho)
-        back = jam.reconstruct()
-        if np.max(np.abs(back.matrix - rho.matrix)) > 1e-12:
-            failures.append(f"trial {i}: round-trip error")
-            continue
-        q = random_povm(2, 2, rng)[0]
-        p, sigma = conditional_state(rho, q)
-        p2, sigma2 = jam.branch(q)
-        if abs(p - p2) > 1e-10 or np.max(np.abs(sigma.matrix - sigma2.matrix)) > 1e-10:
-            failures.append(f"trial {i}: transpose-convention mismatch")
-    return failures
-
-
-def _suite_gconc(trials: int, seed: int) -> list[str]:
-    failures = []
-    for i, rng in enumerate(spawn_rngs(seed, trials)):
-        d = int(rng.integers(2, 5))
-        psi = random_pure(d, rng)
-        c = float(rng.uniform(0.1, 2.0))
-        g = gconcurrence_pure(psi)
-        scaled = PureState(c * psi.amplitudes, psi.dims, normalized=False)
-        if abs(gconcurrence_pure(scaled) - c * c * g) > 1e-12:
-            failures.append(f"trial {i}: homogeneity")
-            continue
-        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        mapped = PureState(np.kron(a, b) @ psi.amplitudes, psi.dims, normalized=False)
-        expected = abs(np.linalg.det(a)) ** (2 / d) * abs(np.linalg.det(b)) ** (2 / d) * g
-        if abs(gconcurrence_pure(mapped) - expected) > 1e-10 * max(1.0, expected):
-            failures.append(f"trial {i}: determinant multiplicativity")
-    return failures
-
-
-def _suite_convexity(trials: int, seed: int) -> list[str]:
-    failures = []
-    measure = concurrence_measure()
-    for i, rng in enumerate(spawn_rngs(seed, trials)):
-        dims = DimSpec.make(("A", 2, "A"), ("B", 2, "B"), ("C", 2, "Z"))
-        parts = [random_density(dims, rng, rank=int(rng.integers(1, 3))) for _ in range(3)]
-        t = rng.dirichlet(np.ones(3))
-        mix = DensityOperator(sum(w * p.matrix for w, p in zip(t, parts)), dims)
-        from .localize import ProductPOVM
-
-        povm = ProductPOVM.single_party("C", random_povm(2, 3, rng))
-        lhs = average_root_entanglement(mix, povm, measure).value
-        rhs = sum(
-            w * average_root_entanglement(p, povm, measure).value
-            for w, p in zip(t, parts)
-        )
-        if lhs > rhs + 1e-9:
-            failures.append(f"trial {i}: convexity violated by {lhs - rhs:.2e}")
-    return failures
-
-
-def _suite_monotonicity(trials: int, seed: int) -> list[str]:
-    failures = []
-    measure = gconcurrence_measure()
-    dims = DimSpec.make(("A", 2, "A"), ("B", 2, "B"), ("C", 2, "Z"))
-    for i, rng in enumerate(spawn_rngs(seed, trials)):
-        inst = Instrument("A", tuple(
-            tuple(ms) for ms in random_instrument(2, int(rng.integers(2, 4)), 1, rng)
-        ))
-        fsum = sum(inst.f_factors())
-        if fsum > 1 + 1e-10:
-            failures.append(f"trial {i}: f-factor sum {fsum:.12f} > 1")
-            continue
-        psi = random_pure(dims, rng)
-        gap = monotonicity_gap(psi.to_density(), inst, measure,
-                               config=LEConfig(restarts=6, max_iters=200,
-                                               seed=int(rng.integers(2**31))))
-        if gap > 1e-6:
-            failures.append(f"trial {i}: monotonicity gap {gap:.2e} > 1e-6")
-    return failures
-
-
 SUITES = {
-    "jamio": _suite_jamio,
-    "gconc": _suite_gconc,
-    "convexity": _suite_convexity,
-    "monotonicity": _suite_monotonicity,
+    "jamio": checks.duality,
+    "gconc": checks.gconcurrence_algebra,
+    "convexity": checks.povm_convexity,
+    "monotonicity": checks.gconcurrence_monotonicity,
 }
 
 
 def cmd_properties(args) -> int:
     t0 = time.perf_counter()
-    failures = SUITES[args.suite](args.trials, args.seed)
+    worst, failures = SUITES[args.suite](args.trials, args.seed)
     results = {
         "suite": args.suite,
         "trials": args.trials,
         "failures": failures,
         "passed": args.trials - len(failures),
+        "worst": worst,
     }
     _emit_report(args, "properties", results,
                  {"suite": args.suite, "trials": args.trials, "seed": args.seed}, t0)
@@ -309,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=16)
     p.add_argument("--max-iters", type=int, default=300)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_non_negative_int, default=_default_seed())
     p.add_argument("--out")
     p.set_defaults(func=cmd_le)
 
@@ -321,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_protocol)
 
     p = sub.add_parser("reproduce", help="locked-state comparison table")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_non_negative_int, default=_default_seed())
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")
@@ -329,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("properties", help="run a seeded invariant suite")
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--trials", type=_non_negative_int, default=100)
+    p.add_argument("--seed", type=_non_negative_int, default=_default_seed())
     p.add_argument("--out")
     p.set_defaults(func=cmd_properties)
 
@@ -345,10 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ParseError, MixedBranchError) as exc:
+    except (ParseError, MixedBranchError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DimensionError as exc:

@@ -17,12 +17,7 @@ import numpy as np
 from .catalog import LockedStateSpec
 from .localize import LEConfig, ProductPOVM, average_root_entanglement, optimize_le
 from .measures import Instrument, RootMeasure
-from .states import (
-    DensityOperator,
-    DimensionError,
-    embed_operator,
-    partial_trace,
-)
+from .states import DensityOperator, DimensionError, DimSpec, partial_trace
 
 _PRUNE_TOL = 1e-14
 
@@ -62,12 +57,27 @@ class ProtocolResult:
         }
 
 
-def _apply_outcome(mat: np.ndarray, kraus, party: str, dims) -> np.ndarray:
-    out = np.zeros_like(mat)
+def _party_axis(dims: DimSpec, instrument: Instrument) -> int:
+    """Axis of the instrument's party in ``dims``; its dimension must match."""
+    party = instrument.party
+    if party not in dims.labels:
+        raise DimensionError(f"protocol party {party!r} not in the state layout")
+    if instrument.dim != dims.dim_of(party):
+        raise DimensionError(f"instrument dimension {instrument.dim} != party {party!r} "
+                             f"dimension {dims.dim_of(party)}")
+    return dims.labels.index(party)
+
+
+def _apply_outcome(mat: np.ndarray, kraus, axis: int, dims: DimSpec) -> np.ndarray:
+    """sum_k M_k mat M_k^dag, each M_k contracted on one party's ket axis and
+    its conjugate on the same party's bra axis."""
+    n = len(dims.labels)
+    tens = mat.reshape(dims.local_dims * 2)
+    out = np.zeros_like(tens)
     for m in kraus:
-        big = embed_operator(np.asarray(m, dtype=np.complex128), (party,), dims)
-        out += big @ mat @ big.conj().T
-    return out
+        ket = np.moveaxis(np.tensordot(m, tens, axes=(1, axis)), 0, axis)
+        out += np.moveaxis(np.tensordot(ket, m.conj(), axes=(n + axis, 1)), -1, n + axis)
+    return out.reshape(mat.shape)
 
 
 def evaluate_protocol(rho: DensityOperator, root: ProtocolNode | None,
@@ -94,16 +104,9 @@ def evaluate_protocol(rho: DensityOperator, root: ProtocolNode | None,
             leaves.append((p, measure.density(sigma, cut), tuple(path)))
             leaf_states.append(sigma)
             return
-        if node.party not in dims.labels:
-            raise DimensionError(f"protocol party {node.party!r} not in the state layout")
-        if node.instrument.dim != dims.dim_of(node.party):
-            raise DimensionError(
-                f"instrument dimension {node.instrument.dim} != party "
-                f"{node.party!r} dimension {dims.dim_of(node.party)}"
-            )
+        axis = _party_axis(dims, node.instrument)
         for j, kraus in enumerate(node.instrument.outcomes):
-            recurse(_apply_outcome(mat, kraus, node.party, dims), node.children[j],
-                    path + [j])
+            recurse(_apply_outcome(mat, kraus, axis, dims), node.children[j], path + [j])
 
     recurse(rho.matrix.copy(), root, [])
     average = float(sum(p * v for p, v, _ in leaves))
@@ -112,9 +115,10 @@ def evaluate_protocol(rho: DensityOperator, root: ProtocolNode | None,
 
 def apply_instrument(rho: DensityOperator, instrument: Instrument):
     """Outcome list [(q_j, normalized post state)] of one local instrument."""
+    axis = _party_axis(rho.dims, instrument)
     out = []
     for kraus in instrument.outcomes:
-        mat = _apply_outcome(rho.matrix, kraus, instrument.party, rho.dims)
+        mat = _apply_outcome(rho.matrix, kraus, axis, rho.dims)
         q = float(np.trace(mat).real)
         if q < _PRUNE_TOL:
             out.append((0.0, None))

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import entloc
-from entloc import DimensionError, DimSpec, PureState, RoofConfig
-from entloc.catalog import bell_state, build_locked_state, werner_state
+from entloc import DimensionError, DimSpec, PureState, RoofConfig, cli
+from entloc.catalog import bell_state, build_locked_state, ghz_state, werner_state
 from entloc.cli import main
 from entloc.protocols import locked_state_protocol
 from entloc.sampling import random_density, random_pure
@@ -25,6 +25,14 @@ from entloc.serialize import (
     state_from_dict,
     state_to_dict,
 )
+
+
+def _exit_code(argv) -> int:
+    """main's return value, or the code of the exit argparse takes on a bad option."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestStateFiles:
@@ -261,10 +269,48 @@ class TestCli:
         assert err.startswith("error:") and "pure states only" in err
 
     def test_properties_suite_passes(self, capsys):
-        assert main(["properties", "--suite", "jamio", "--trials", "10",
-                     "--seed", "0"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["results"]["passed"] == 10
+        for suite, trials in (("jamio", 10), ("gconc", 10), ("convexity", 5),
+                              ("monotonicity", 2), ("jamio", 0), ("gconc", 0),
+                              ("convexity", 0), ("monotonicity", 0)):
+            assert main(["properties", "--suite", suite, "--trials", str(trials),
+                         "--seed", "0"]) == 0
+            # strict JSON: no -Infinity or NaN, also with no trials
+            results = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)["results"]
+            assert results["passed"] == trials
+            assert (None in results["worst"].values()) == (trials == 0)
+
+    def test_properties_violation_exits_1(self, monkeypatch, capsys):
+        line = "trial 1: gap 2.00e-03 > 1e-06"
+        monkeypatch.setitem(cli.SUITES, "monotonicity", lambda trials, seed: ({}, [line]))
+        assert main(["properties", "--suite", "monotonicity", "--trials", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert "FAIL" in err
+        assert json.loads(out)["results"]["failures"] == [line]
+
+    def test_properties_gconc_reports_criterion_5_figures(self, capsys):
+        assert main(["properties", "--suite", "gconc", "--trials", "500",
+                     "--seed", "51"]) == 0
+        worst = json.loads(capsys.readouterr().out)["results"]["worst"]
+        assert [f"{worst[k]:.1e}" for k in ("homogeneity", "multiplicativity",
+                                            "unit_value")] == ["2.2e-15", "5.5e-14", "2.2e-16"]
+
+    @pytest.mark.parametrize("argv, env", [
+        ("properties --suite jamio --trials -1", "0"),
+        ("properties --suite jamio --seed -1", "0"),
+        ("le GHZ --seed -1", "0"),
+        ("reproduce --seed -1", "0"),
+        ("reproduce --restarts 0", "0"),
+        ("emit bell --out OUT", "x"),
+        ("emit bell --out OUT", "-3"),
+        ("emit bell --out NODIR", "0"),
+    ])
+    def test_bad_value_exits_2(self, argv, env, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("ENTLOC_SEED", env)
+        paths = {"GHZ": tmp_path / "ghz.json", "OUT": tmp_path / "out.json",
+                 "NODIR": tmp_path / "missing" / "out.json"}
+        save_state(ghz_state(3), paths["GHZ"])
+        assert _exit_code([str(paths.get(a, a)) for a in argv.split()]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_emit_werner_needs_p(self, tmp_path, capsys):
         assert main(["emit", "werner", "--out", str(tmp_path / "x.json")]) == 2
@@ -338,10 +384,14 @@ class TestFuzzedDocuments:
 
 
 def test_import_leaves_scipy_out():
-    # the library and its CLI run on numpy alone; scipy is a test-time reference
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import entloc, entloc.cli; "
+    # the library and its CLI run on numpy alone; scipy is a test-time reference.
+    # `import entloc`, which the benchmark's setup_s times, loads neither the
+    # CLI nor the property checks
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import entloc; "
+            "print(sorted(m for m in ('entloc.cli', 'entloc.checks') if m in sys.modules)); "
+            "import entloc.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = str(Path(entloc.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
                           timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.split() == ["[]", "[]"]

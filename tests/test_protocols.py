@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from entloc import (
+    checks,
     DimSpec,
     DimensionError,
     Instrument,
     LEConfig,
     ProductPOVM,
     ProtocolNode,
+    apply_instrument,
     average_root_entanglement,
     entropy_measure,
     evaluate_protocol,
@@ -23,13 +25,8 @@ from entloc.catalog import (
     ghz_state,
     phi_plus_vector,
 )
-from entloc.sampling import (
-    random_density,
-    random_instrument,
-    random_pure,
-    random_unitary,
-    spawn_rngs,
-)
+from entloc.states import embed_operator
+from entloc.sampling import random_density, random_instrument, random_pure, random_unitary
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
@@ -140,16 +137,7 @@ class TestMonotonicityGap:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gconcurrence_gap_nonpositive(self, seed):
-        rng, = spawn_rngs(seed, 1)
-        dims = DimSpec.make(("A", 2, "A"), ("B", 2, "B"), ("C", 2, "Z"))
-        rho = random_pure(dims, rng).to_density()
-        inst = Instrument("A", tuple(
-            tuple(ms) for ms in random_instrument(2, int(rng.integers(2, 4)), 1, rng)
-        ))
-        gap = monotonicity_gap(rho, inst, gconcurrence_measure(),
-                               config=LEConfig(restarts=6, max_iters=200,
-                                               seed=int(rng.integers(2**31))))
-        assert gap <= 2e-3
+        assert checks.gconcurrence_monotonicity(1, seed)[1] == []
 
     def test_helper_party_rejected(self):
         rho = build_locked_state().to_density()
@@ -163,3 +151,20 @@ def test_instrument_dimension_checked():
     bad = ProtocolNode("A", Instrument.projective("A", (P0, P1)), (None, None))
     with pytest.raises(DimensionError):
         evaluate_protocol(rho, bad, entropy_measure())
+    with pytest.raises(DimensionError):
+        apply_instrument(rho, bad.instrument)
+    with pytest.raises(DimensionError):
+        apply_instrument(rho, Instrument.projective("Q", (P0, P1)))
+
+
+def test_instrument_on_later_party_matches_embedded_operator():
+    # B is not the first party and the local dimensions differ
+    dims = DimSpec.make(("A", 2, "A"), ("B", 3, "B"), ("C", 2, "Z"))
+    rng = np.random.default_rng(7)
+    rho = random_density(dims, rng, rank=3)
+    inst = Instrument("B", random_instrument(3, 2, [1, 2], rng))
+    for (q, post), kraus in zip(apply_instrument(rho, inst), inst.outcomes):
+        ref = sum(big @ rho.matrix @ big.conj().T
+                  for big in (embed_operator(m, ("B",), dims) for m in kraus))
+        assert q == pytest.approx(np.trace(ref).real, abs=1e-14)
+        np.testing.assert_allclose(q * post.matrix, ref, atol=1e-14)
