@@ -92,7 +92,8 @@ def cmd_measure(args) -> int:
         value, ens = gconcurrence_mixed(rho)
         results.update(method="convex-roof optimizer (upper bound)",
                        converged=ens.converged, bound="upper",
-                       restart_values=list(ens.restart_values), winner=ens.winner)
+                       restart_values=list(ens.restart_values),
+                       restart_evaluations=list(ens.restart_evaluations), winner=ens.winner)
     else:
         value = measure.density(rho)
     results["value"] = value

@@ -4,9 +4,9 @@ helper (Z-role) parties can steer onto the A-B pair with a product POVM.
 ``optimize_le`` searches rank-one product POVMs, each party's outcomes being
 the rows of an isometry Q from the phase-fixed QR of a Gaussian pre-image x.
 A seeded multi-start random-step ascent over the pre-images, run in lockstep
-by ``sampling.lockstep_search`` (shared with the convex roof) with each
-party's isometry kept next to its pre-image, finds a basin, and
-``sampling.lockstep_lbfgs`` (the roof's polish too) polishes the best
+by ``sampling.lockstep_search`` with each party's isometry kept next to
+its pre-image, finds a basin, and ``sampling.lockstep_lbfgs`` (the convex
+roof's descent too) polishes the best
 restart. The polish follows the exact gradient of the branch average
 wherever the root has a closed-form derivative (the pattern of Audenaert,
 Verstraete and De Moor, PRA 64, 052304 (2001)): one batched SVD of the branch
@@ -156,6 +156,8 @@ class LEConfig:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        if not self.tol >= 0:  # NaN fails too
+            raise ValueError(f"tol must be >= 0, got {self.tol}")
 
 
 def average_root_entanglement(rho: DensityOperator, povm: ProductPOVM,

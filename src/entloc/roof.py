@@ -10,16 +10,21 @@ keeps the search landscape smooth. On a d x d cut G(|psi~>) = d |det C|^(2/d)
 for the d x d coefficient matrix C of |psi~>, so the m members are scored as
 one (m, d, d) stack by one determinant call, with no SVD.
 
-The optimizer is a multi-start adaptive random local search over the Gaussian
-pre-image x of the isometry (U = Q of the phase-fixed QR x = Q R), run by
-``sampling.lockstep_search``, the driver the LE ascent shares, on -f. The
-restarts run in lockstep: each keeps its own generator, step and stopping
-state, and every iteration scores the proposals of all live restarts in one
-batched QR and one batched determinant. The best three restarts are then
-polished by ``sampling.lockstep_lbfgs``, again in lockstep, on the exact
-gradient, carried from d|det C|^(2/d) back through the QR to x (the pattern
-of Audenaert, Verstraete and De Moor, PRA 64, 052304 (2001)); the lowest
-value wins. Returned values carry UPPER-bound semantics: the true roof can
+The optimizer is a gradient-only multistart over the Gaussian pre-image x of
+the isometry (U = Q of the phase-fixed QR x = Q R; the parameterization of
+Audenaert, Verstraete and De Moor, PRA 64, 052304 (2001)). |det C|^(2/d) has
+a cusp at det C = 0, exactly where members become product vectors, so the
+descent runs on the smoothed objective
+
+    f_eps(x) = d sum_i [(|det C_i|^2 + eps^2)^(1/d) - eps^(2/d)],
+
+smooth for eps > 0, below f and tending to f as eps -> 0, and lowers eps in
+stages (``_EPS_SCHEDULE``). Its exact gradient is carried back through the
+QR to x. ``sampling.lockstep_lbfgs`` polishes every restart at the first eps
+in lockstep, one batched QR and one batched determinant per round; the three
+lowest go on through the smaller eps values, each stage starting where the
+last ended. Every restart is scored by the exact f at its final point and the
+lowest wins, so returned values carry UPPER-bound semantics: the true roof can
 only be lower.
 """
 
@@ -30,12 +35,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import _cut_or_default
-from .sampling import lockstep_lbfgs, lockstep_search, phase_fixed_qr, phase_fixed_qr_backward
+from .sampling import lockstep_lbfgs, phase_fixed_qr, phase_fixed_qr_backward, spawn_rngs
 from .states import DensityOperator, DimSpec, PureState
 
 
 # L-BFGS-B's default stop tests: relative reduction of f, largest |gradient|
 _POLISH_FTOL, _POLISH_GTOL = 2.220446049250313e-09, 1e-5
+# the smoothing of the det = 0 cusp, one polish stage per value; every
+# restart runs the first stage, the _CONTINUED lowest run the others
+_EPS_SCHEDULE = (1e-2, 1e-4, 1e-6, 1e-8)
+_CONTINUED = 3
 
 
 @dataclass(frozen=True)
@@ -44,19 +53,24 @@ class RoofConfig:
 
     ensemble_size: int | None = None
     restarts: int = 32
-    max_iters: int = 400
     seed: int = 0
+
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if self.ensemble_size is not None and self.ensemble_size < 1:
+            raise ValueError(f"ensemble_size must be >= 1, got {self.ensemble_size}")
 
 
 @dataclass(frozen=True)
 class DecompositionEnsemble:
     """Weighted pure-state decomposition of a density operator.
 
-    ``restart_values`` holds each restart's final value (empty where no
-    search ran): its polished value for the three best of the search, its
-    search value otherwise. ``winner`` is the polished restart with the
-    lowest value, the one returned; ``converged`` says whether its polish
-    converged.
+    ``restart_values`` holds the exact value at each restart's final point
+    (empty where no search ran) and ``restart_evaluations`` its objective
+    evaluations, summed over its polish stages. ``winner`` is the restart
+    with the lowest value, the one returned; ``converged`` says whether its
+    last polish stage converged.
     """
 
     weights: np.ndarray
@@ -64,6 +78,7 @@ class DecompositionEnsemble:
     value: float
     converged: bool
     restart_values: tuple[float, ...] = ()
+    restart_evaluations: tuple[int, ...] = ()
     winner: int | None = None
 
     def reconstruct(self, dims: DimSpec) -> DensityOperator:
@@ -87,22 +102,27 @@ def _objective(x: np.ndarray, w: np.ndarray, d: int) -> np.ndarray:
     return d * np.sum(np.abs(np.linalg.det(mats)) ** (2.0 / d), axis=-1)
 
 
-def _objective_and_gradient(x: np.ndarray, w: np.ndarray, d: int):
-    """Objective of an m x r pre-image, or of each in a (..., m, r) stack,
-    and its gradient G_x = df/dRe x + i df/dIm x.
+def _objective_and_gradient(x: np.ndarray, w: np.ndarray, d: int, eps: float):
+    """Smoothed objective f_eps of an m x r pre-image, or of each in a
+    (..., m, r) stack, and its gradient G_x = df/dRe x + i df/dIm x; eps = 0
+    gives the exact f.
 
-    The chain: G_C = 2 |det C|^(2/d) C^-H (0 where det C = 0); G_Q = G_C
-    flattened against conj(w); then the backward pass of the phase-fixed QR
-    x = Q R (``phase_fixed_qr_backward``).
+    The chain: G_C = 2 (|det C|^2 + eps^2)^(1/d - 1) |det C|^2 C^-H (0 where
+    det C = 0); G_Q = G_C flattened against conj(w); then the backward pass
+    of the phase-fixed QR x = Q R (``phase_fixed_qr_backward``).
     """
     q, r, mats = _ensemble_stack(x, w, d)
     det = np.linalg.det(mats)
-    a = np.abs(det) ** (2.0 / d)
-    live = (det != 0)[..., None, None]
-    inv = np.linalg.inv(np.where(live, mats, np.eye(d)))
-    g_c = np.where(live, (2.0 * a)[..., None, None] * inv.conj().swapaxes(-1, -2), 0.0)
+    det2 = det.real ** 2 + det.imag ** 2
+    smooth = det2 + eps * eps
+    a = smooth ** (1.0 / d)
+    live = det2 > 0
+    inv = np.linalg.inv(np.where(live[..., None, None], mats, np.eye(d)))
+    coef = 2.0 * a * det2 / np.where(live, smooth, 1.0)  # 0 where det C = 0
+    g_c = coef[..., None, None] * inv.conj().swapaxes(-1, -2)
     g_q = g_c.reshape(q.shape[:-1] + (-1,)) @ w.conj()
-    return d * np.sum(a, axis=-1), phase_fixed_qr_backward(q, r, g_q)
+    value = d * (np.sum(a, axis=-1) - a.shape[-1] * eps ** (2.0 / d))
+    return value, phase_fixed_qr_backward(q, r, g_q)
 
 
 def gconcurrence_mixed(rho: DensityOperator, cut=None, config: RoofConfig | None = None):
@@ -136,7 +156,7 @@ def gconcurrence_mixed(rho: DensityOperator, cut=None, config: RoofConfig | None
     mask = evals > 1e-12
     r = int(np.count_nonzero(mask))
     w = evecs[:, mask] * np.sqrt(evals[mask])  # rho = w w^dag
-    m = config.ensemble_size or r + 2
+    m = r + 2 if config.ensemble_size is None else config.ensemble_size
     if m < r:
         raise ValueError(f"ensemble size {m} below state rank {r}")
 
@@ -148,30 +168,36 @@ def gconcurrence_mixed(rho: DensityOperator, cut=None, config: RoofConfig | None
         ens = DecompositionEnsemble(np.array([1.0]), (psi,), val, True)
         return val, ens
 
-    # minimize by maximizing -f, which is exact in floating point
-    vals, (xs,), _, _ = lockstep_search(
-        lambda x: -_objective(x[0], w, d), [(m, r)], config.seed, config.restarts,
-        config.max_iters, accept=1e-12, reset=0.0, shrink=0.6, patience=20, stop=1e-3)
-
     # the polish's rows: real then imaginary parts of each restart's pre-image
     def flatten(z: np.ndarray) -> np.ndarray:
         z = z.reshape(len(z), -1)
         return np.concatenate([z.real, z.imag], axis=1)
 
-    def fun_and_grad(flat: np.ndarray):
-        values, g_x = _objective_and_gradient(
-            (flat[:, : m * r] + 1j * flat[:, m * r :]).reshape(-1, m, r), w, d)
+    def unflatten(flat: np.ndarray) -> np.ndarray:
+        return (flat[:, : m * r] + 1j * flat[:, m * r :]).reshape(-1, m, r)
+
+    def fun_and_grad(flat: np.ndarray, eps: float):
+        values, g_x = _objective_and_gradient(unflatten(flat), w, d, eps)
         return values, flatten(g_x)
 
-    # gradient polish of the three best basins, with L-BFGS-B's default stop
-    # tests; a polish only descends, so the lowest polished value wins
-    vals = -vals
-    order = np.argsort(vals, kind="stable")[:3]
-    flat, vals[order], _, _, success, _ = lockstep_lbfgs(
-        fun_and_grad, flatten(xs[order]), ftol=_POLISH_FTOL, gtol=_POLISH_GTOL)
-    row = int(np.argmin(vals[order]))
-    winner, best_val, converged = int(order[row]), float(vals[order[row]]), bool(success[row])
-    best_x = (flat[row, : m * r] + 1j * flat[row, m * r :]).reshape(m, r)
+    # restart i starts from the Gaussian pre-image of generator i of the seed
+    starts = [rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
+              for rng in spawn_rngs(config.seed, config.restarts)]
+    flat = flatten(np.stack(starts))
+    evaluations = np.zeros(config.restarts, dtype=int)
+    success = np.zeros(config.restarts, dtype=bool)
+    rows = np.arange(config.restarts)
+    for stage, eps in enumerate(_EPS_SCHEDULE):
+        flat[rows], smoothed, _, evals, success[rows], _ = lockstep_lbfgs(
+            lambda z: fun_and_grad(z, eps), flat[rows], ftol=_POLISH_FTOL, gtol=_POLISH_GTOL)
+        evaluations[rows] += evals
+        if stage == 0:  # the lowest after the first stage go on, in stable order
+            rows = rows[np.argsort(smoothed, kind="stable")[:_CONTINUED]]
+
+    xs = unflatten(flat)
+    vals = _objective(xs, w, d)
+    winner = int(np.argmin(vals))
+    best_val, converged, best_x = float(vals[winner]), bool(success[winner]), xs[winner]
 
     cols = w @ phase_fixed_qr(best_x)[0].T
     weights = np.linalg.norm(cols, axis=0) ** 2
@@ -182,5 +208,6 @@ def gconcurrence_mixed(rho: DensityOperator, cut=None, config: RoofConfig | None
         if keep[i]
     )
     ens = DecompositionEnsemble(weights[keep], states, best_val, converged,
-                                tuple(float(v) for v in vals), winner)
+                                tuple(float(v) for v in vals),
+                                tuple(int(n) for n in evaluations), winner)
     return best_val, ens

@@ -1,8 +1,8 @@
 """Seeded random quantum objects: Haar pure states and unitaries, fixed-rank
-density operators, complete POVMs, and trace-preserving instruments; and the
-two multi-start optimizers that the LE ascent and the convex roof share: a
-seeded random search and an L-BFGS polish, each running its restarts in
-lockstep.
+density operators, complete POVMs, and trace-preserving instruments; and two
+multi-start optimizers, each running its restarts in lockstep: a seeded
+random search, the LE ascent's, and an L-BFGS polish, which the LE ascent and
+the convex roof share.
 
 All sampling is deterministic given the generator/seed passed in; nothing here
 touches global RNG state.

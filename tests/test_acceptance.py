@@ -94,7 +94,7 @@ def test_criterion_6_roof_vs_closed_form():
     for p in (0.0, 0.2, 1 / 3, 0.5, 0.8, 1.0):
         roof, _ = gconcurrence_mixed(werner_state(p))
         worst_w = max(worst_w, abs(roof - max(0.0, (3 * p - 1) / 2)))
-    ok = worst <= 2e-3 and worst_w <= 2e-3
+    ok = worst <= 1e-5 and worst_w <= 1e-5
     _report(6, ok, f"max |roof - closed form| = {worst:.1e} (random), "
                    f"{worst_w:.1e} (Werner)")
 

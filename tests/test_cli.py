@@ -163,8 +163,13 @@ class TestCli:
         dims = DimSpec.make(("A", 3, "A"), ("B", 3, "B"))
         state = tmp_path / "mixed.json"
         save_state(random_density(dims, np.random.default_rng(4), rank=2), state)
-        assert main(["measure", str(state), "--measure", "gconc"]) == 0
-        results = json.loads(capsys.readouterr().out)["results"]
+        payloads = []
+        for i in range(2):
+            out = tmp_path / f"measure{i}.json"
+            assert main(["measure", str(state), "--measure", "gconc", "--out", str(out)]) == 0
+            payloads.append(out.read_bytes())
+        assert payloads[0] == payloads[1]
+        results = json.loads(payloads[0])["results"]
         assert results["bound"] == "upper"
         assert results["method"] == "convex-roof optimizer (upper bound)"
         assert isinstance(results["converged"], bool)
@@ -173,6 +178,9 @@ class TestCli:
         assert len(results["restart_values"]) == RoofConfig().restarts
         assert results["restart_values"][results["winner"]] == results["value"]
         assert results["value"] == min(results["restart_values"])
+        # each restart's objective evaluations, summed over its polish stages
+        assert len(results["restart_evaluations"]) == RoofConfig().restarts
+        assert all(isinstance(n, int) and n > 0 for n in results["restart_evaluations"])
 
     def test_malformed_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -298,6 +306,8 @@ class TestCli:
         ("properties --suite jamio --trials -1", "0"),
         ("properties --suite jamio --seed -1", "0"),
         ("le GHZ --seed -1", "0"),
+        ("le GHZ --tol -1", "0"),
+        ("le GHZ --tol nan", "0"),
         ("reproduce --seed -1", "0"),
         ("reproduce --restarts 0", "0"),
         ("emit bell --out OUT", "x"),

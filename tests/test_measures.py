@@ -137,7 +137,7 @@ class TestRootMeasure:
     def test_roof_branch_is_gconcurrence_mixed(self):
         # on a mixed state across a cut larger than 2 x 2, density hands rho
         # itself to the roof, so the two agree bit for bit
-        config = RoofConfig(restarts=4, max_iters=60)
+        config = RoofConfig(restarts=4)
         for rng in spawn_rngs(31, 3):
             rho = random_density(pair_spec(3, 3), rng, rank=2)
             assert gconcurrence_measure(config).density(rho) == \

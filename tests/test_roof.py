@@ -10,11 +10,13 @@ from entloc import (
     wootters_concurrence,
 )
 from entloc.catalog import werner_state
-from entloc.roof import _ensemble_stack, _objective, _objective_and_gradient
-from entloc.sampling import lockstep_search, random_density, random_pure
+from entloc.roof import (_EPS_SCHEDULE, _POLISH_FTOL, _POLISH_GTOL, _ensemble_stack, _objective,
+                         _objective_and_gradient)
+from entloc.sampling import (lockstep_lbfgs, lockstep_search, random_density, random_pure,
+                             spawn_rngs)
 
 PAIR = DimSpec.make(("A", 2, "A"), ("B", 2, "B"))
-FAST = RoofConfig(restarts=8, max_iters=250, seed=0)
+FAST = RoofConfig(restarts=8, seed=0)
 
 
 def test_pure_state_shortcut():
@@ -83,7 +85,7 @@ def test_seed_determinism():
 
 @pytest.mark.parametrize("seed", [100, 101, 102])
 def test_converged_flag_follows_returned_point(seed):
-    # the polish wins on these states; no random-search restart converges
+    # the winner's last polish stage converges on these rank-3 states
     rho = random_density(PAIR, np.random.default_rng(seed), rank=3)
     value, ens = gconcurrence_mixed(rho)
     assert value == pytest.approx(wootters_concurrence(rho), abs=1e-7)
@@ -105,22 +107,48 @@ def test_gradient_matches_central_differences(d, rank, central_gradient):
     x = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
     mats = _ensemble_stack(x, w, d)[2]
     assert np.all(np.abs(np.linalg.det(mats)) > 1e-6)  # away from the det = 0 cusp
-    value, grad = _objective_and_gradient(x, w, d)
+    value, grad = _objective_and_gradient(x, w, d, 0.0)
     assert value == pytest.approx(float(_objective(x, w, d)), abs=1e-14)
     numeric = central_gradient(lambda y: float(_objective(y, w, d)), x)
     np.testing.assert_allclose(grad, numeric, atol=1e-8, rtol=0)
 
 
-def _reference_search(w, d, m, config):
-    """The random search run one restart at a time."""
+@pytest.mark.parametrize("eps", _EPS_SCHEDULE[:2])
+@pytest.mark.parametrize("d,rank", [(2, 3), (3, 2)])
+def test_smoothed_gradient_matches_central_differences(d, rank, eps, central_gradient):
+    spec = DimSpec.make(("A", d, "A"), ("B", d, "B"))
+    rng = np.random.default_rng(20 * d + rank)
+    w = _ensemble_factor(random_density(spec, rng, rank=rank))
+    x = rng.standard_normal((rank + 2, rank)) + 1j * rng.standard_normal((rank + 2, rank))
+    value, grad = _objective_and_gradient(x, w, d, eps)
+    # the smoothing lowers every member's term, and vanishes with eps
+    exact = float(_objective(x, w, d))
+    assert exact - (rank + 2) * d * eps ** (2 / d) <= value <= exact
+    numeric = central_gradient(lambda y: float(_objective_and_gradient(y, w, d, eps)[0]), x)
+    np.testing.assert_allclose(grad, numeric, atol=1e-8, rtol=0)
+
+
+def test_smoothed_gradient_at_a_product_member():
+    # a member with det C = 0 (a product vector) has zero smoothed gradient
+    # and adds nothing to f_eps, where the exact f has its cusp
+    w = np.eye(4, 2, dtype=complex)  # the factor columns |00> and |01>
+    x = np.eye(2, dtype=complex)  # the ensemble {|00>, |01>}
+    for eps in (0.0,) + _EPS_SCHEDULE:
+        value, grad = _objective_and_gradient(x, w, 2, eps)
+        assert value == pytest.approx(0.0, abs=1e-15)
+        np.testing.assert_array_equal(grad, 0.0)
+
+
+def _reference_search(w, d, m, seed, restarts, max_iters):
+    """A random search on -f run one restart at a time."""
     r = w.shape[1]
     finals = []
-    for seed in np.random.SeedSequence(config.seed).spawn(config.restarts):
-        rng = np.random.default_rng(seed)
+    for child in np.random.SeedSequence(seed).spawn(restarts):
+        rng = np.random.default_rng(child)
         x = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
         val = _objective(x, w, d)
         step, stale, converged = 0.5, 0, False
-        for _ in range(config.max_iters):
+        for _ in range(max_iters):
             prop = x + step * (rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r)))
             pval = _objective(prop, w, d)
             if pval < val - 1e-12:
@@ -136,22 +164,18 @@ def _reference_search(w, d, m, config):
     return finals
 
 
-def _random_search(w, d, m, config):
-    """The roof's random phase: the shared lockstep driver maximizing -f."""
-    vals, (xs,), flags, _ = lockstep_search(
-        lambda x: -_objective(x[0], w, d), [(m, w.shape[1])], config.seed, config.restarts,
-        config.max_iters, accept=1e-12, reset=0.0, shrink=0.6, patience=20, stop=1e-3)
-    return -vals, xs, flags
-
-
 @pytest.mark.parametrize("d,rank", [(2, 2), (3, 2)])
 def test_lockstep_search_matches_per_restart_loop(d, rank):
+    # the shared lockstep search maximizing -f
     spec = DimSpec.make(("A", d, "A"), ("B", d, "B"))
     w = _ensemble_factor(random_density(spec, np.random.default_rng(5), rank=rank))
-    config = RoofConfig(restarts=6, max_iters=500, seed=8)
-    vals, xs, flags = _random_search(w, d, rank + 2, config)
+    seed, restarts, max_iters = 8, 6, 500
+    vals, (xs,), flags, _ = lockstep_search(
+        lambda x: -_objective(x[0], w, d), [(rank + 2, rank)], seed, restarts, max_iters,
+        accept=1e-12, reset=0.0, shrink=0.6, patience=20, stop=1e-3)
+    vals = -vals
     assert flags.any()  # restarts drop out of the lockstep at different iterations
-    finals = _reference_search(w, d, rank + 2, config)
+    finals = _reference_search(w, d, rank + 2, seed, restarts, max_iters)
     for val, x, flag, (ref_val, ref_x, ref_flag) in zip(vals, xs, flags, finals):
         assert val == pytest.approx(ref_val, abs=1e-12)
         np.testing.assert_allclose(x, ref_x, atol=1e-12, rtol=0)
@@ -159,31 +183,53 @@ def test_lockstep_search_matches_per_restart_loop(d, rank):
 
 
 @pytest.mark.parametrize("d,rank", [(2, 3), (3, 2)])
-def test_best_three_restarts_polished(d, rank):
+def test_every_restart_polished_best_three_continued(d, rank):
     spec = DimSpec.make(("A", d, "A"), ("B", d, "B"))
     rho = random_density(spec, np.random.default_rng(21), rank=rank)
-    config = RoofConfig(restarts=5, max_iters=150, seed=2)
+    config = RoofConfig(restarts=5, seed=2)
     value, ens = gconcurrence_mixed(rho, config=config)
-    searched = _random_search(_ensemble_factor(rho), d, rank + 2, config)[0]
-    polished = np.argsort(searched, kind="stable")[:3]
-    assert len(ens.restart_values) == config.restarts
-    for i, (final, start) in enumerate(zip(ens.restart_values, searched)):
-        # a polish starts at its restart's search point and only descends
-        assert final <= start if i in polished else final == start
-    assert ens.winner in polished
+    # the first stage, rerun: every restart from its Gaussian start at the largest eps
+    w, m = _ensemble_factor(rho), rank + 2
+
+    def flatten(z):
+        z = z.reshape(len(z), -1)
+        return np.concatenate([z.real, z.imag], axis=1)
+
+    def unflatten(flat):
+        return (flat[:, :m * rank] + 1j * flat[:, m * rank:]).reshape(-1, m, rank)
+
+    def fun_and_grad(flat):
+        values, g = _objective_and_gradient(unflatten(flat), w, d, _EPS_SCHEDULE[0])
+        return values, flatten(g)
+
+    starts = np.stack([rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
+                       for rng in spawn_rngs(config.seed, config.restarts)])
+    flat, smoothed, _, evals, _, _ = lockstep_lbfgs(
+        fun_and_grad, flatten(starts), ftol=_POLISH_FTOL, gtol=_POLISH_GTOL)
+    stage1 = _objective(unflatten(flat), w, d)
+    continued = np.argsort(smoothed, kind="stable")[:3]
+    assert len(ens.restart_values) == len(ens.restart_evaluations) == config.restarts
+    for i in range(config.restarts):
+        if i in continued:
+            # each later stage takes at least one evaluation
+            assert ens.restart_evaluations[i] >= evals[i] + len(_EPS_SCHEDULE) - 1
+        else:
+            assert ens.restart_values[i] == stage1[i]
+            assert ens.restart_evaluations[i] == evals[i]
     assert value == ens.value == ens.restart_values[ens.winner] == min(ens.restart_values)
 
 
 @pytest.mark.parametrize("d,rank", [(2, 4), (3, 3)])
 def test_restart_does_not_depend_on_the_others(d, rank):
-    # restart i draws from child i of the seed, searches and is polished as
-    # if alone, so fewer restarts reproduce the first ones bit for bit (with
-    # at most three restarts, every one is polished)
+    # restart i draws from child i of the seed and is polished as if alone,
+    # so fewer restarts reproduce the first ones bit for bit (with at most
+    # three restarts, every one goes through every stage)
     spec = DimSpec.make(("A", d, "A"), ("B", d, "B"))
     rho = random_density(spec, np.random.default_rng(30 + d), rank=rank)
-    three = gconcurrence_mixed(rho, config=RoofConfig(restarts=3, max_iters=150, seed=7))[1]
-    two = gconcurrence_mixed(rho, config=RoofConfig(restarts=2, max_iters=150, seed=7))[1]
+    three = gconcurrence_mixed(rho, config=RoofConfig(restarts=3, seed=7))[1]
+    two = gconcurrence_mixed(rho, config=RoofConfig(restarts=2, seed=7))[1]
     assert two.restart_values == three.restart_values[:2]
+    assert two.restart_evaluations == three.restart_evaluations[:2]
 
 
 def test_seed_determinism_3x3():
@@ -199,16 +245,38 @@ def test_seed_determinism_3x3():
 
 
 @pytest.mark.parametrize("d,rank,seed,value_hex", [
-    (2, 2, 1, "0x1.91fb9958b6aefp-2"),
-    (2, 3, 3, "0x1.3b5011098eca3p-2"),
-    (3, 2, 4, "0x1.96095848c7d20p-5"),
-    (3, 3, 5, "0x1.76874368c1056p-5"),
+    (2, 2, 1, "0x1.91fb99627dedep-2"),
+    (2, 3, 3, "0x1.3b5010b4887c5p-2"),
+    (3, 2, 4, "0x1.6190394353ea8p-5"),
+    (3, 3, 5, "0x1.0dbb5cb0a97bep-20"),
 ], ids=["2x2-rank2-seed1", "2x2-rank3-seed3", "3x3-rank2-seed4", "3x3-rank3-seed5"])
 def test_values_pinned_bit_for_bit(d, rank, seed, value_hex):
     # the roof shares its QR backward pass and its L-BFGS driver with the LE
     # polish; any change to either moves these values
     spec = DimSpec.make(("A", d, "A"), ("B", d, "B"))
     rho = random_density(spec, np.random.default_rng(seed), rank=rank)
-    value, ens = gconcurrence_mixed(rho, config=RoofConfig(restarts=4, max_iters=150, seed=seed))
+    value, ens = gconcurrence_mixed(rho, config=RoofConfig(restarts=4, seed=seed))
     assert value == float.fromhex(value_hex)
     assert ens.converged
+
+
+def test_separable_3x3_reaches_zero():
+    # a mixture of four random product vectors (rank 4): every member of the
+    # optimal ensemble sits at the det = 0 cusp, where an unsmoothed descent stalls
+    rng = np.random.default_rng(2007)
+    mat = np.zeros((9, 9), dtype=complex)
+    for p in rng.dirichlet(np.ones(4)):
+        a, b = (rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(2))
+        v = np.kron(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
+        mat += p * np.outer(v, v.conj())
+    rho = DensityOperator(mat, DimSpec.make(("A", 3, "A"), ("B", 3, "B")))
+    value, ens = gconcurrence_mixed(rho, config=RoofConfig(restarts=8, seed=2007))
+    assert 0.0 <= value <= 1e-4
+    np.testing.assert_allclose(ens.reconstruct(rho.dims).matrix, mat, atol=1e-10)
+
+
+@pytest.mark.parametrize("fields", [dict(restarts=0), dict(restarts=-1),
+                                    dict(ensemble_size=0), dict(ensemble_size=-2)])
+def test_config_rejects_bad_fields(fields):
+    with pytest.raises(ValueError):
+        RoofConfig(**fields)
