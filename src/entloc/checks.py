@@ -122,7 +122,7 @@ def povm_convexity(trials: int, seed: int):
 def gconcurrence_monotonicity(trials: int, seed: int):
     """The f-factors of a random instrument on A (2-3 outcomes of 1-2 Kraus
     operators) sum to at most one, and the G-rooted LE of a Haar-random
-    2 x 2 x 2 state, a seeded 6-restart ascent, does not rise under it."""
+    2 x 2 x 2 state, a seeded 6-restart search, does not rise under it."""
     measure, figures = gconcurrence_measure(), []
     for rng in spawn_rngs(seed, trials):
         psi = random_pure(_QUBITS, rng)

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: ``measure`` (score a state file), ``le`` (run the localizable
-entanglement ascent), ``protocol`` (evaluate a protocol file), ``reproduce``
+entanglement search), ``protocol`` (evaluate a protocol file), ``reproduce``
 (the locked-state comparison table), ``properties`` (one seeded check of
 ``entloc.checks``: ``jamio``, ``gconc``, ``convexity`` or ``monotonicity``,
 the checks of acceptance criteria 7, 5, 8 and 3 at a chosen seed and trial
@@ -34,6 +34,11 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_PARSE = 2
 EXIT_DIMENSION = 3
+
+# the reproduce table's "kind" of an EoC and of an LE row, by the result's bound
+_EOC_KIND = {"lower": "exact for the two-round protocol; lower bound on EoC",
+             "estimate": "estimate (convex-roof leaves)"}
+_LE_KIND = {"lower": "lower bound (search)", "estimate": "estimate (convex-roof branches)"}
 
 MEASURES = {
     "entropy": entropy_measure,
@@ -107,12 +112,11 @@ def cmd_le(args) -> int:
     state = load_state(args.state)
     rho = _as_density(state)
     measure = MEASURES[args.measure]()
-    config = _le_config(restarts=args.restarts, seed=args.seed, tol=args.tol,
-                        max_iters=args.max_iters)
+    config = _le_config(restarts=args.restarts, seed=args.seed, max_iters=args.max_iters)
     result = optimize_le(rho, measure, config)
     _emit_report(args, "le", result.to_dict(args.measure),
                  {"measure": args.measure, "state": args.state, "seed": args.seed,
-                  "restarts": args.restarts, "tol": args.tol}, t0)
+                  "restarts": args.restarts, "max_iters": args.max_iters}, t0)
     return EXIT_OK
 
 
@@ -141,10 +145,10 @@ def cmd_reproduce(args) -> int:
     le_g = optimize_le(rho, gconcurrence_measure(), config_g)
 
     rows = [
-        ("EoC(entropy)", eoc.average, "exact (two-round protocol)"),
-        ("LE(entropy)", le.value, "lower bound (ascent)"),
-        ("EoC(G)", eoc_g.average, "exact (two-round protocol)"),
-        ("LE(G)", le_g.value, "lower bound (ascent)"),
+        ("EoC(entropy)", eoc.average, _EOC_KIND[eoc.bound]),
+        ("LE(entropy)", le.value, _LE_KIND[le.bound]),
+        ("EoC(G)", eoc_g.average, _EOC_KIND[eoc_g.bound]),
+        ("LE(G)", le_g.value, _LE_KIND[le_g.bound]),
     ]
     results = {
         "table": [{"quantity": q, "value": v, "kind": k} for q, v, k in rows],
@@ -220,12 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_measure)
 
-    p = sub.add_parser("le", help="run the localizable-entanglement ascent")
+    p = sub.add_parser("le", help="run the localizable-entanglement search")
     p.add_argument("state")
     p.add_argument("--measure", choices=sorted(MEASURES), default="entropy")
     p.add_argument("--restarts", type=int, default=16)
     p.add_argument("--max-iters", type=int, default=300)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--seed", type=_non_negative_int, default=_default_seed())
     p.add_argument("--out")
     p.set_defaults(func=cmd_le)

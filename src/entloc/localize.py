@@ -2,25 +2,25 @@
 helper (Z-role) parties can steer onto the A-B pair with a product POVM.
 
 ``optimize_le`` searches rank-one product POVMs, each party's outcomes being
-the rows of an isometry Q from the phase-fixed QR of a Gaussian pre-image x.
-A seeded multi-start random-step ascent over the pre-images, run in lockstep
-by ``sampling.lockstep_search`` with each party's isometry kept next to
-its pre-image, finds a basin, and ``sampling.lockstep_lbfgs`` (the convex
-roof's descent too) polishes the best
-restart. The polish follows the exact gradient of the branch average
-wherever the root has a closed-form derivative (the pattern of Audenaert,
-Verstraete and De Moor, PRA 64, 052304 (2001)): one batched SVD of the branch
-coefficient matrices on a pure state, the Takagi matrices of the branch
-factors for concurrence and G on a mixed 2 x 2 cut; the gradient is carried
-back through the row-wise Kronecker product of the outcome vectors and the
-QR to x. The remaining cases (G on a larger mixed cut, entropy on a mixed
-state) polish on a forward-difference gradient, its n + 1 points scored in
-one batched call. ``average_root_entanglement`` scores a fixed
-POVM in the same factor form, so the value ``optimize_le`` reports is the
-value its search reached. Values carry LOWER-bound semantics (the true
-maximum can only be higher). ``grid_oracle_le`` is the independent
-brute-force check for a single helper qubit: a Bloch-sphere grid of
-two-outcome projective measurements.
+the rows of an isometry Q from the phase-fixed QR of a Gaussian pre-image x,
+from seeded restarts run in lockstep. The input picks the one descent every
+restart runs. Where the root has a closed-form derivative
+(``_FactorEvaluator.exact_gradient``) it is ``sampling.lockstep_lbfgs``, the
+convex roof's descent too, on the exact gradient of the branch average (the
+pattern of Audenaert, Verstraete and De Moor, PRA 64, 052304 (2001)): one
+batched SVD of the branch coefficient matrices on a pure state, the Takagi
+matrices of the branch factors for concurrence and G on a mixed 2 x 2 cut;
+the gradient is carried back through the row-wise Kronecker product of the
+outcome vectors and the QR to x, for every restart in one pass. The
+remaining cases (G on a larger mixed cut, entropy on a mixed state) run the
+random-step search ``sampling.lockstep_search`` alone.
+``average_root_entanglement`` scores a fixed POVM in the same factor form, so
+the value ``optimize_le`` reports is the value its search reached. Values
+carry LOWER-bound semantics (the true maximum can only be higher) unless a
+live branch took a convex-roof solve, itself an upper bound; such a value is
+labelled an estimate. ``grid_oracle_le`` is the independent brute-force check
+for a single helper qubit: a Bloch-sphere grid of two-outcome projective
+measurements.
 """
 
 from __future__ import annotations
@@ -31,13 +31,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import _YY, NULL_BRANCH_TOL, RootMeasure, _takagi_stack, spectrum_value
-from .sampling import lockstep_lbfgs, lockstep_search, phase_fixed_qr, phase_fixed_qr_backward
+from .sampling import (flatten_complex, lockstep_lbfgs, lockstep_search, phase_fixed_qr,
+                       phase_fixed_qr_backward, seeded_starts, unflatten_complex)
 from .states import DensityOperator, DimSpec, DimensionError
 
-# fixed stop tests of the gradient polish: relative reduction, largest |gradient|
-_POLISH_FTOL, _POLISH_GTOL = 1e-15, 1e-10
-# relative forward-difference step: h = sqrt(eps) max(1, |x|), signed like x
-_FD_STEP = np.sqrt(np.finfo(float).eps)
+# fixed stop tests of the L-BFGS descent: relative reduction, largest |gradient|
+_LBFGS_FTOL, _LBFGS_GTOL = 1e-15, 1e-10
+# the random search takes a gain above _ACCEPT; one below _RESET still counts
+# as stale
+_ACCEPT, _RESET = 1e-10, 1e-9
 # eigenvalues of a POVM element below this share of its largest are its null space
 _ELEMENT_RANK_TOL = 1e-12
 
@@ -95,33 +97,30 @@ class LEResult:
     """Outcome of one average / one LE search.
 
     ``value`` is the achieved average; for the optimizer it is a lower bound
-    to the true localizable entanglement.
+    to the true localizable entanglement. ``bound`` says so ("lower") unless
+    a live branch took a convex-roof solve (``RootMeasure.needs_roof``),
+    whose value is an upper bound: the average is then an "estimate".
     """
 
     value: float
     povm: ProductPOVM
     branches: tuple[tuple[float, float], ...]  # (probability, branch measure value)
-    converged: bool = True
+    converged: bool = True  # the winning restart's stop test
     seed: int | None = None
-    iterations: int = 0
-    evaluations: int = 0  # objective evaluations of the ascent and the polish
-    # the ascent, per restart: final value and iterations run; ``winner`` is
-    # the first restart with the best value, the one the polish starts from
+    iterations: int = 0  # summed over the restarts
+    evaluations: int = 0  # objective evaluations, summed over the restarts
+    # per restart: final value and iterations run; ``winner`` is the first
+    # restart with the best value, the one returned
     restart_values: tuple[float, ...] = ()
     restart_iterations: tuple[int, ...] = ()
     winner: int | None = None
-    # the polish of the winner: its iterations, whether it raised the value
-    # and why it stopped ("gtol", "ftol", "line search" or "max_iters"; None
-    # when no polish ran)
-    polish_iterations: int = 0
-    polish_won: bool = False
-    polish_stop: str | None = None
+    bound: str = "lower"
 
     def to_dict(self, measure_name: str = "") -> dict:
         return {
             "value": self.value,
             "measure": measure_name,
-            "bound": "lower",
+            "bound": self.bound,
             "converged": self.converged,
             "seed": self.seed,
             "iterations": self.iterations,
@@ -129,9 +128,6 @@ class LEResult:
             "restart_values": list(self.restart_values),
             "restart_iterations": list(self.restart_iterations),
             "winner": self.winner,
-            "polish_iterations": self.polish_iterations,
-            "polish_won": self.polish_won,
-            "polish_stop": self.polish_stop,
             "branches": [{"p": p, "branch_value": v} for p, v in self.branches],
             "povm": [
                 [[[float(c.real), float(c.imag)] for c in f.ravel()] for f in out]
@@ -142,22 +138,20 @@ class LEResult:
 
 @dataclass(frozen=True)
 class LEConfig:
-    """Knobs of the LE ascent; outcomes_per_party=None means local dim squared."""
+    """Budget of the LE search: the restarts, each restart's iteration cap
+    (of its L-BFGS descent or its random search), the outcomes per helper
+    party (None: local dimension squared) and the seed."""
 
     restarts: int = 16
     max_iters: int = 300
     outcomes_per_party: int | None = None
-    tol: float = 1e-9
     seed: int = 0
-    polish: bool = True
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if not self.tol >= 0:  # NaN fails too
-            raise ValueError(f"tol must be >= 0, got {self.tol}")
 
 
 def average_root_entanglement(rho: DensityOperator, povm: ProductPOVM,
@@ -169,7 +163,9 @@ def average_root_entanglement(rho: DensityOperator, povm: ProductPOVM,
     1e-12 of the element's largest; F_k meets the state's eigen-factor in the
     evaluator of ``optimize_le``, so the branches come from one contraction
     and are scored in one batched call, as the optimizer scores them. Null
-    branches (probability below 1e-14) contribute zero.
+    branches (probability below 1e-14) contribute zero. The result's
+    ``bound`` is "estimate" when a live branch ``needs_roof`` on its
+    spectrum, "lower" otherwise.
     """
     if tuple(povm.z_labels) != tuple(rho.dims.z_labels):
         raise DimensionError(
@@ -181,10 +177,13 @@ def average_root_entanglement(rho: DensityOperator, povm: ProductPOVM,
     m = max(1, int(np.max(np.count_nonzero(keep, axis=-1))))
     # eigenvalues ascend, so the kept columns are among the last m
     elements = (evecs * np.sqrt(np.where(keep, evals, 0.0))[:, None, :])[:, :, -m:]
-    p, values = measure.factor_branches(evaluator._branch_factors(elements),
-                                        evaluator.y_dims, evaluator.cut)
+    factors = evaluator._branch_factors(elements)
+    p, values = measure.factor_branches(factors, evaluator.y_dims, evaluator.cut)
+    roofed = (p > 0) & measure.needs_roof(evaluator.y_dims, evaluator.cut,
+                                          np.linalg.svd(factors, compute_uv=False) ** 2)
     branches = tuple((float(pk), float(vk)) for pk, vk in zip(p, values))
-    return LEResult(float(np.dot(p, values)), povm, branches)
+    return LEResult(float(np.dot(p, values)), povm, branches,
+                    bound="estimate" if roofed.any() else "lower")
 
 
 # ---------------------------------------------------------------------------
@@ -206,18 +205,21 @@ def _outcome_vectors(isos) -> np.ndarray:
 
 
 def _outcome_vectors_backward(isos, g_w: np.ndarray) -> list[np.ndarray]:
-    """Per-party gradients from the gradient of ``_outcome_vectors(isos)``.
+    """Per-party gradients from the gradient of ``_outcome_vectors(isos)``,
+    batched over any leading axes.
 
     Gradients are complex, G = df/dRe + i df/dIm of a real f; party j's is
     G_W contracted with the conjugates of every other party's isometry.
     """
     n = len(isos)
     ks, zs = string.ascii_lowercase[:n], string.ascii_uppercase[:n]
-    g = g_w.reshape([v.shape[0] for v in isos] + [v.shape[1] for v in isos])
+    g = g_w.reshape(g_w.shape[:-2] + tuple(v.shape[-2] for v in isos)
+                    + tuple(v.shape[-1] for v in isos))
     out = []
     for j in range(n):
         others = [i for i in range(n) if i != j]
-        spec = ks + zs + "".join(f",{ks[i]}{zs[i]}" for i in others) + f"->{ks[j]}{zs[j]}"
+        spec = ("..." + ks + zs + "".join(f",...{ks[i]}{zs[i]}" for i in others)
+                + f"->...{ks[j]}{zs[j]}")
         out.append(np.einsum(spec, g, *[isos[i].conj() for i in others]))
     return out
 
@@ -232,27 +234,10 @@ def _povm_from_isometries(z_labels, isos) -> ProductPOVM:
     return ProductPOVM(tuple(z_labels), tuple(factors))
 
 
-def _flatten(arrays) -> np.ndarray:
-    """Real vector of the polish: real then imaginary parts, party by party."""
-    return np.concatenate([np.concatenate([a.real.ravel(), a.imag.ravel()]) for a in arrays])
-
-
-def _unflatten(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Inverse of ``_flatten``, batched over any leading axes of ``flat``."""
-    out = []
-    off = 0
-    lead = flat.shape[:-1]
-    for shape in shapes:
-        n = int(np.prod(shape))
-        re, im = flat[..., off : off + n], flat[..., off + n : off + 2 * n]
-        out.append(re.reshape(lead + tuple(shape)) + 1j * im.reshape(lead + tuple(shape)))
-        off += 2 * n
-    return out
-
-
-def _pure_branch_gradient(kind: str, mats: np.ndarray) -> tuple[float, np.ndarray]:
-    """Sum of p_k v_k over a (K, d_A, d_B) stack of unnormalized pure branches
-    and its gradient in the stack, U diag(df/ds) V^H from one batched SVD.
+def _pure_branch_gradient(kind: str, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p_k v_k of each of a (K, d_A, d_B) stack of unnormalized pure branches
+    (0 for a null branch) and its gradient in the branch, U diag(df/ds) V^H
+    from one batched SVD.
 
     With lambda = s^2 and p = sum lambda: entropy -2 s log2(lambda / p);
     G (and the concurrence, its 2 x 2 case) on a square cut 2 a / s with
@@ -274,12 +259,12 @@ def _pure_branch_gradient(kind: str, mats: np.ndarray) -> tuple[float, np.ndarra
     else:
         values, dfds = np.zeros(p.size), np.zeros_like(s)
     dfds[~live] = 0.0
-    return float(np.sum(values[live])), (u * dfds[:, None, :]) @ vh
+    return np.where(live, values, 0.0), (u * dfds[:, None, :]) @ vh
 
 
-def _takagi_branch_gradient(factors: np.ndarray) -> tuple[float, np.ndarray]:
-    """Sum of p_k C_k over a (K, 4, r) stack of two-qubit branch factors and
-    its gradient in the stack.
+def _takagi_branch_gradient(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p_k C_k of each of a (K, 4, r) stack of two-qubit branch factors and
+    its gradient in the factor.
 
     C = max(0, s_1 - sum_{i>=2} s_i) over the singular values of the Takagi
     matrix tau = B^T (sy ⊗ sy) B; with G_tau = U diag(1, -1, ...) V^H the
@@ -293,7 +278,7 @@ def _takagi_branch_gradient(factors: np.ndarray) -> tuple[float, np.ndarray]:
     g_tau = (u * sign) @ vh
     grad = _YY @ factors.conj() @ (g_tau + np.swapaxes(g_tau, -1, -2))
     grad[~live] = 0.0
-    return float(np.sum(values[live])), grad
+    return np.where(live, values, 0.0), grad
 
 
 class _FactorEvaluator:
@@ -309,8 +294,8 @@ class _FactorEvaluator:
     ``average_and_gradient`` carries the exact gradient back to the Gaussian
     pre-images where the root has a closed form (``exact_gradient``): r = 1
     under every root, and r > 1 on a 2 x 2 cut under concurrence and G. The
-    remaining cases (G on a larger mixed cut, entropy on a mixed state) take
-    forward differences (``difference_rows``).
+    remaining cases (G on a larger mixed cut, entropy on a mixed state) have
+    values only (``averages``).
     """
 
     def __init__(self, rho: DensityOperator, measure: RootMeasure):
@@ -359,52 +344,36 @@ class _FactorEvaluator:
     def average(self, isos) -> float:
         return float(self.averages([v[None] for v in isos])[0])
 
-    def average_and_gradient(self, params) -> tuple[float, list[np.ndarray]]:
-        """Average at the pre-images ``params`` (one (K_i, d_i) array per
-        helper party) and its gradient with respect to each, G = df/dRe x +
-        i df/dIm x: through the branch factors, the outcome vectors and the
-        phase-fixed QR."""
+    def average_and_gradient(self, params) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Averages at the pre-images ``params`` (one (..., K_i, d_i) stack per
+        helper party, batched over the leading axes) and their gradients with
+        respect to each, G = df/dRe x + i df/dIm x: through the branch
+        factors, the outcome vectors and the phase-fixed QR, each step one
+        call for the whole batch."""
         qrs = [phase_fixed_qr(x) for x in params]
         isos = [q for q, _ in qrs]
         w = _outcome_vectors(isos)
-        factors = self._branch_factors(w)
+        factors = self._branch_factors(w.reshape(-1, w.shape[-1]))
         if self.r == 1:
-            value, g_f = _pure_branch_gradient(
+            values, g_f = _pure_branch_gradient(
                 self.measure.kind, factors.reshape(-1, self.da, self.db))
         else:
-            value, g_f = _takagi_branch_gradient(factors)
-        g_w = g_f.reshape(w.shape[0], -1).conj() @ self.factor.T
-        return value, [phase_fixed_qr_backward(q, r, g)
-                       for (q, r), g in zip(qrs, _outcome_vectors_backward(isos, g_w))]
-
-    def gradient_rows(self, flat: np.ndarray, shapes):
-        """Averages and exact gradients at a (k, n) stack of pre-images, each
-        row flattened by ``_flatten``; ``shapes`` are the parties' (K_i, d_i)."""
-        out = [self.average_and_gradient(_unflatten(row, shapes)) for row in flat]
-        return np.array([v for v, _ in out]), np.array([_flatten(g) for _, g in out])
-
-    def difference_rows(self, flat: np.ndarray, shapes):
-        """``gradient_rows`` by forward differences, step sqrt(eps) max(1, |x|)
-        away from zero; a row's n + 1 points are scored in one call."""
-        values, grads = [], []
-        for row in flat:
-            h = _FD_STEP * np.where(row >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(row))
-            h = (row + h) - row  # the step as represented
-            points = np.vstack([row, row + np.diag(h)])
-            avg = self.averages([phase_fixed_qr(x)[0] for x in _unflatten(points, shapes)])
-            values.append(avg[0])
-            grads.append((avg[1:] - avg[0]) / h)
-        return np.array(values), np.array(grads)
+            values, g_f = _takagi_branch_gradient(factors)
+        g_w = g_f.reshape(w.shape[:-1] + (-1,)).conj() @ self.factor.T
+        return values.reshape(w.shape[:-1]).sum(axis=-1), [
+            phase_fixed_qr_backward(q, r, g)
+            for (q, r), g in zip(qrs, _outcome_vectors_backward(isos, g_w))]
 
 
 def optimize_le(rho: DensityOperator, measure: RootMeasure,
                 config: LEConfig | None = None) -> LEResult:
-    """Seeded multi-start ascent over rank-one product POVMs on the helpers,
-    restarts in lockstep, then an L-BFGS polish of the best restart.
+    """Seeded multi-start search over rank-one product POVMs on the helpers,
+    restarts in lockstep: L-BFGS on the exact gradient where the evaluator
+    has one (``exact_gradient``), the random-step search elsewhere.
 
-    Returns the best average found (a lower bound to the LE), together with
-    the realizing POVM, its recomputed branch data and the ascent's
-    per-restart values and iterations.
+    Returns the best average found (a lower bound to the LE unless a branch
+    took a roof solve), together with the realizing POVM, its recomputed
+    branch data and every restart's final value and iterations.
     """
     if config is None:
         config = LEConfig()
@@ -416,49 +385,34 @@ def optimize_le(rho: DensityOperator, measure: RootMeasure,
     for k, d in zip(n_out, z_dims):
         if k < d:
             raise ValueError(f"outcomes per party must be >= local dimension ({k} < {d})")
-
+    shapes = list(zip(n_out, z_dims))
     evaluator = _FactorEvaluator(rho, measure)
 
-    values, params, flags, iterations = lockstep_search(
-        evaluator.averages, list(zip(n_out, z_dims)), config.seed, config.restarts,
-        config.max_iters, accept=config.tol / 10, reset=config.tol, shrink=0.5,
-        patience=8 * len(z_dims), stop=1e-5, transform=lambda x: phase_fixed_qr(x)[0])
+    if evaluator.exact_gradient:
+        def fun_and_grad(flat):  # the descent minimizes -average
+            averages, grads = evaluator.average_and_gradient(unflatten_complex(flat, shapes))
+            return -averages, -flatten_complex(grads)
+
+        flat, f, iterations, evals, flags, _ = lockstep_lbfgs(
+            fun_and_grad, flatten_complex(seeded_starts(config.seed, config.restarts, shapes)[1]),
+            ftol=_LBFGS_FTOL, gtol=_LBFGS_GTOL, max_iters=config.max_iters)
+        values, params, evaluations = -f, unflatten_complex(flat, shapes), int(np.sum(evals))
+    else:
+        values, params, flags, iterations = lockstep_search(
+            evaluator.averages, shapes, config.seed, config.restarts, config.max_iters,
+            accept=_ACCEPT, reset=_RESET, shrink=0.5, patience=8 * len(z_dims), stop=1e-5,
+            transform=lambda x: phase_fixed_qr(x)[0])
+        evaluations = config.restarts + int(np.sum(iterations))
     winner = int(np.argmax(values))  # the first restart with the best value
-    best_params = [x[winner] for x in params]
-    converged = bool(flags[winner])  # of the restart (or polish) that is returned
-    total_iters = int(np.sum(iterations))
-    evaluations = config.restarts + total_iters
-    polish_iterations, polish_won, polish_stop = 0, False, None
 
-    if config.polish:
-        shapes = [p.shape for p in best_params]
-        flat0 = _flatten(best_params)
-        if evaluator.exact_gradient:
-            rows, per_gradient = evaluator.gradient_rows, 1
-        else:
-            rows, per_gradient = evaluator.difference_rows, flat0.size + 1
-
-        def fun_and_grad(flat):  # the polish minimizes -average
-            averages, grads = rows(flat, shapes)
-            return -averages, -grads
-
-        flat, f, iters, evals, success, stop = lockstep_lbfgs(
-            fun_and_grad, flat0[None], ftol=_POLISH_FTOL, gtol=_POLISH_GTOL)
-        evaluations += int(evals[0]) * per_gradient
-        polish_iterations, polish_stop = int(iters[0]), stop[0]
-        polish_won = bool(-f[0] > values[winner])
-        if polish_won:
-            best_params = _unflatten(flat[0], shapes)
-            converged = bool(success[0])
-
-    povm = _povm_from_isometries(z_labels, [phase_fixed_qr(x)[0] for x in best_params])
+    povm = _povm_from_isometries(z_labels, [phase_fixed_qr(x[winner])[0] for x in params])
     result = average_root_entanglement(rho, povm, measure)
-    return LEResult(result.value, povm, result.branches, converged=converged,
-                    seed=config.seed, iterations=total_iters, evaluations=evaluations,
+    return LEResult(result.value, povm, result.branches, converged=bool(flags[winner]),
+                    seed=config.seed, iterations=int(np.sum(iterations)),
+                    evaluations=evaluations,
                     restart_values=tuple(float(v) for v in values),
                     restart_iterations=tuple(int(i) for i in iterations), winner=winner,
-                    polish_iterations=polish_iterations, polish_won=polish_won,
-                    polish_stop=polish_stop)
+                    bound=result.bound)
 
 
 def grid_oracle_le(rho: DensityOperator, measure: RootMeasure,
@@ -467,7 +421,7 @@ def grid_oracle_le(rho: DensityOperator, measure: RootMeasure,
 
     Scans two-outcome projective measurements over a Bloch-angle grid; this is
     exhaustive within the projective class at the given resolution and stays
-    independent of the ascent optimizer.
+    independent of the LE optimizer.
     """
     z_labels = rho.dims.z_labels
     if len(z_labels) != 1 or rho.dims.dim_of(z_labels[0]) != 2:

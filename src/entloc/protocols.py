@@ -5,7 +5,8 @@ A tree node names the acting party and its instrument; every outcome is
 broadcast (children are indexed by outcome), so classical communication is
 implicit in the branching. Leaves score the remaining A-B state with a root
 measure. The collaboration value of a given tree is an achievable average,
-hence a lower bound on the collaboration optimum.
+hence a lower bound on the collaboration optimum, unless a leaf took a
+convex-roof solve, itself an upper bound: that value is an estimate.
 """
 
 from __future__ import annotations
@@ -40,17 +41,22 @@ class ProtocolNode:
 
 @dataclass(frozen=True)
 class ProtocolResult:
-    """Weighted leaves of a protocol run: (probability, leaf value, outcome path)."""
+    """Weighted leaves of a protocol run: (probability, leaf value, outcome path).
+
+    ``bound`` is "lower" (a lower bound on the collaboration optimum) unless
+    a leaf ``needs_roof`` on its spectrum; the average is then an "estimate".
+    """
 
     average: float
     leaves: tuple[tuple[float, float, tuple[int, ...]], ...]
     leaf_states: tuple[DensityOperator, ...]
+    bound: str = "lower"
 
     def to_dict(self, measure_name: str = "") -> dict:
         return {
             "average": self.average,
             "measure": measure_name,
-            "bound": "lower",
+            "bound": self.bound,
             "leaves": [
                 {"p": p, "value": v, "path": list(path)} for p, v, path in self.leaves
             ],
@@ -110,7 +116,9 @@ def evaluate_protocol(rho: DensityOperator, root: ProtocolNode | None,
 
     recurse(rho.matrix.copy(), root, [])
     average = float(sum(p * v for p, v, _ in leaves))
-    return ProtocolResult(average, tuple(leaves), tuple(leaf_states))
+    roofed = any(measure.needs_roof(s.dims, cut, s.eigensystem()[0]) for s in leaf_states)
+    return ProtocolResult(average, tuple(leaves), tuple(leaf_states),
+                          "estimate" if roofed else "lower")
 
 
 def apply_instrument(rho: DensityOperator, instrument: Instrument):
@@ -133,7 +141,7 @@ def monotonicity_gap(rho: DensityOperator, instrument: Instrument,
     """One-step gap  sum_j q_j LE(state after outcome j) - LE(state).
 
     With ``povm`` given, both sides are averaged at that fixed POVM; otherwise
-    each side runs its own seeded ascent at a matched budget. A positive gap
+    each side runs its own seeded search at a matched budget. A positive gap
     means the local instrument on A or B increased the localizable value.
     """
     if rho.dims.roles.get(instrument.party) not in ("A", "B"):

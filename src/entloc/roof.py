@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import _cut_or_default
-from .sampling import lockstep_lbfgs, phase_fixed_qr, phase_fixed_qr_backward, spawn_rngs
+from .sampling import (flatten_complex, lockstep_lbfgs, phase_fixed_qr, phase_fixed_qr_backward,
+                       seeded_starts, unflatten_complex)
 from .states import DensityOperator, DimSpec, PureState
 
 
@@ -168,22 +169,12 @@ def gconcurrence_mixed(rho: DensityOperator, cut=None, config: RoofConfig | None
         ens = DecompositionEnsemble(np.array([1.0]), (psi,), val, True)
         return val, ens
 
-    # the polish's rows: real then imaginary parts of each restart's pre-image
-    def flatten(z: np.ndarray) -> np.ndarray:
-        z = z.reshape(len(z), -1)
-        return np.concatenate([z.real, z.imag], axis=1)
-
-    def unflatten(flat: np.ndarray) -> np.ndarray:
-        return (flat[:, : m * r] + 1j * flat[:, m * r :]).reshape(-1, m, r)
-
     def fun_and_grad(flat: np.ndarray, eps: float):
-        values, g_x = _objective_and_gradient(unflatten(flat), w, d, eps)
-        return values, flatten(g_x)
+        values, g_x = _objective_and_gradient(unflatten_complex(flat, [(m, r)])[0], w, d, eps)
+        return values, flatten_complex([g_x])
 
     # restart i starts from the Gaussian pre-image of generator i of the seed
-    starts = [rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
-              for rng in spawn_rngs(config.seed, config.restarts)]
-    flat = flatten(np.stack(starts))
+    flat = flatten_complex(seeded_starts(config.seed, config.restarts, [(m, r)])[1])
     evaluations = np.zeros(config.restarts, dtype=int)
     success = np.zeros(config.restarts, dtype=bool)
     rows = np.arange(config.restarts)
@@ -194,7 +185,7 @@ def gconcurrence_mixed(rho: DensityOperator, cut=None, config: RoofConfig | None
         if stage == 0:  # the lowest after the first stage go on, in stable order
             rows = rows[np.argsort(smoothed, kind="stable")[:_CONTINUED]]
 
-    xs = unflatten(flat)
+    xs = unflatten_complex(flat, [(m, r)])[0]
     vals = _objective(xs, w, d)
     winner = int(np.argmin(vals))
     best_val, converged, best_x = float(vals[winner]), bool(success[winner]), xs[winner]

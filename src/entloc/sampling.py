@@ -1,8 +1,9 @@
 """Seeded random quantum objects: Haar pure states and unitaries, fixed-rank
 density operators, complete POVMs, and trace-preserving instruments; and two
-multi-start optimizers, each running its restarts in lockstep: a seeded
-random search, the LE ascent's, and an L-BFGS polish, which the LE ascent and
-the convex roof share.
+multi-start optimizers, each running its restarts in lockstep from the same
+seeded Gaussian starts (``seeded_starts``): an L-BFGS descent, which the
+convex roof and the LE search share wherever the gradient is exact, and a
+random search, the LE's where it is not.
 
 All sampling is deterministic given the generator/seed passed in; nothing here
 touches global RNG state.
@@ -67,6 +68,37 @@ def phase_fixed_qr_backward(q: np.ndarray, r: np.ndarray, g_q: np.ndarray) -> np
     return _adjoint(np.linalg.solve(r, _adjoint(q @ (skew - mq) + g_q)))
 
 
+def seeded_starts(seed, restarts: int, shapes):
+    """Restart j's complex Gaussian start, drawn party by party (real then
+    imaginary part) from generator j of ``spawn_rngs(seed, restarts)``.
+
+    Returns the generators and the starts as one (restarts, rows, cols) stack
+    per party of ``shapes``.
+    """
+    rngs = spawn_rngs(seed, restarts)
+    starts = [[rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
+              for rng in rngs]
+    return rngs, [np.stack(party) for party in zip(*starts)]
+
+
+def flatten_complex(stacks) -> np.ndarray:
+    """(k, n) real rows of the L-BFGS descent from complex (k, rows, cols)
+    stacks, one per party: real then imaginary parts, party by party."""
+    return np.concatenate([part.reshape(len(part), -1) for a in stacks
+                           for part in (a.real, a.imag)], axis=1)
+
+
+def unflatten_complex(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Inverse of ``flatten_complex``, batched over any leading axes of ``flat``."""
+    out, off = [], 0
+    for shape in shapes:
+        n = math.prod(shape)
+        z = flat[..., off : off + n] + 1j * flat[..., off + n : off + 2 * n]
+        out.append(z.reshape(flat.shape[:-1] + tuple(shape)))
+        off += 2 * n
+    return out
+
+
 # iterations of proposal noise a restart draws per generator call; fixed, so
 # the noise buffer does not grow with the iteration budget
 _NOISE_BLOCK = 32
@@ -84,25 +116,21 @@ def lockstep_search(score, shapes, seed, restarts: int, max_iters: int, *,
     (for instance ``phase_fixed_qr(x)[0]``), ``score`` sees each party's
     transformed stack instead; the transformed stacks are kept next to the
     pre-images, so an iteration transforms only the party it moves. Restart j
-    draws its start (party by party, real then imaginary part) and its noise
-    from generator j of ``spawn_rngs(seed, restarts)``, ``_NOISE_BLOCK``
-    iterations per call, the same numbers as one call per draw. Iteration t
-    adds step (0.5 at the start) times complex Gaussian noise to party t % n
-    of every live restart and scores all the proposals in one call. A gain
-    above ``accept`` is taken; one below ``reset`` still counts as stale. A
-    rejection that makes the stale count a multiple of ``patience``
-    multiplies the step by ``shrink``; a step below ``stop`` ends the restart
-    (converged).
+    starts at its ``seeded_starts`` point and draws its noise from the same
+    generator, ``_NOISE_BLOCK`` iterations per call, the same numbers as one
+    call per draw. Iteration t adds step (0.5 at the start) times complex
+    Gaussian noise to party t % n of every live restart and scores all the
+    proposals in one call. A gain above ``accept`` is taken; one below
+    ``reset`` still counts as stale. A rejection that makes the stale count a
+    multiple of ``patience`` multiplies the step by ``shrink``; a step below
+    ``stop`` ends the restart (converged).
 
     Returns per-restart ``(values, pre-images, converged, iterations)``, the
     pre-images as one (restarts, rows, cols) array per party.
     """
     n = len(shapes)
     sizes = [int(np.prod(s)) for s in shapes]
-    rngs = spawn_rngs(seed, restarts)
-    starts = [[rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
-              for rng in rngs]
-    x = [np.stack(party) for party in zip(*starts)]
+    rngs, x = seeded_starts(seed, restarts, shapes)
     # the state of the live restarts, compacted whenever one drops out
     ids, xs = np.arange(restarts), [q.copy() for q in x]
     ts = xs if transform is None else [transform(q) for q in xs]
@@ -160,7 +188,7 @@ _LBFGS_MEMORY = 10
 _WOLFE_DECREASE, _WOLFE_CURVATURE, _WOLFE_XTOL = 1e-3, 0.9, 0.1
 _SEARCH_EVALS = 20
 _STEP_MAX = 1e10
-# iterations after which a row stops (L-BFGS-B's default maxiter)
+# iterations after which a row stops by default (L-BFGS-B's default maxiter)
 _ITERATION_CAP = 15000
 
 
@@ -315,7 +343,8 @@ _STOPS = ("", "gtol", "ftol", "line search", "max_iters")
 _GTOL, _FTOL, _LINE_SEARCH, _MAX_ITERS = 1, 2, 3, 4
 
 
-def lockstep_lbfgs(fun_and_grad, x0, *, ftol: float, gtol: float):
+def lockstep_lbfgs(fun_and_grad, x0, *, ftol: float, gtol: float,
+                   max_iters: int = _ITERATION_CAP):
     """Minimize from every row of ``x0`` by L-BFGS with a strong Wolfe line
     search, the rows run in lockstep.
 
@@ -325,7 +354,8 @@ def lockstep_lbfgs(fun_and_grad, x0, *, ftol: float, gtol: float):
     own line search (the first trial step 1 / ||d||, then 1) and its own stop
     tests, those of L-BFGS-B: ||g||_inf <= ``gtol`` ("gtol"), a relative
     reduction (f_old - f) / max(|f_old|, |f|, 1) <= ``ftol`` ("ftol"), or
-    15000 iterations ("max_iters"). A line search that takes 20
+    ``max_iters`` iterations ("max_iters"; with 0 every row that does not
+    meet the gradient test stops at its start). A line search that takes 20
     evaluations, ends without lowering f, or meets a direction that is not
     one of descent stops the row at its last point ("line search",
     ``success`` False). A row's path does not depend on the other rows.
@@ -336,7 +366,8 @@ def lockstep_lbfgs(fun_and_grad, x0, *, ftol: float, gtol: float):
     k, n = x_out.shape
     f_out, g = (np.array(a, dtype=float) for a in fun_and_grad(x_out))
     iterations, evaluations = [0] * k, [1] * k
-    stop = [_GTOL if gmax <= gtol else 0 for gmax in np.max(np.abs(g), axis=1).tolist()]
+    stop = [_GTOL if gmax <= gtol else _MAX_ITERS if max_iters <= 0 else 0
+            for gmax in np.max(np.abs(g), axis=1).tolist()]
     # the state of the live rows, compacted whenever one stops. In arrays:
     # the point, the gradient, the direction and the memory, a ring of 10
     # slots (pairs, R^-1 and diag R in slot order; the next slot to write;
@@ -402,7 +433,7 @@ def lockstep_lbfgs(fun_and_grad, x0, *, ftol: float, gtol: float):
                 ended[j] = _GTOL
             elif f_old - f[j] <= ftol * max(abs(f_old), abs(f[j]), 1.0):
                 ended[j] = _FTOL
-            elif iterations[ids[j]] >= _ITERATION_CAP:
+            elif iterations[ids[j]] >= max_iters:
                 ended[j] = _MAX_ITERS
             else:
                 fresh.append(j)

@@ -29,6 +29,7 @@ from entloc.sampling import (
     random_density,
     random_povm,
     random_pure,
+    seeded_starts,
     spawn_rngs,
 )
 
@@ -134,9 +135,9 @@ class TestOptimize:
     def test_more_restarts_never_worse(self):
         rho = w_state(3).to_density()
         lo = optimize_le(rho, entropy_measure(),
-                         LEConfig(restarts=2, max_iters=150, seed=4, polish=False))
+                         LEConfig(restarts=2, max_iters=150, seed=4))
         hi = optimize_le(rho, entropy_measure(),
-                         LEConfig(restarts=8, max_iters=150, seed=4, polish=False))
+                         LEConfig(restarts=8, max_iters=150, seed=4))
         assert hi.value >= lo.value - 1e-12
 
     @pytest.mark.parametrize("measure", [gconcurrence_measure(), concurrence_measure()],
@@ -371,8 +372,9 @@ class TestFailFast:
             average_root_entanglement(self._qutrit_pair(), povm, concurrence_measure())
 
 
-def _reference_ascent(rho, measure, config):
-    """The LE ascent run one restart at a time, drawing its noise step by step."""
+def _reference_ascent(rho, measure, config, tol):
+    """The LE random search run one restart at a time, drawing its noise step
+    by step; a gain above tol / 10 is taken, one below tol counts as stale."""
     evaluator = _FactorEvaluator(rho, measure)
     shapes = [(config.outcomes_per_party or d * d, d)
               for d in (rho.dims.dim_of(lab) for lab in rho.dims.z_labels)]
@@ -393,10 +395,10 @@ def _reference_ascent(rho, measure, config):
             prop[idx] = params[idx] + step * (rng.standard_normal(shapes[idx])
                                               + 1j * rng.standard_normal(shapes[idx]))
             pval = score(prop)
-            if pval > val + config.tol / 10:
+            if pval > val + tol / 10:
                 gain = pval - val
                 params, val = prop, pval
-                stale = stale + 1 if gain < config.tol else 0
+                stale = stale + 1 if gain < tol else 0
             else:
                 stale += 1
                 if stale % (8 * len(params)) == 0:
@@ -408,32 +410,43 @@ def _reference_ascent(rho, measure, config):
     return finals
 
 
+def with_mixed_helper(rho, rank=2):
+    """rho with one more helper qubit, uncorrelated and mixed: the branches
+    stay pure, the global state is mixed, so entropy has no exact gradient."""
+    helper = random_density(DimSpec.make(("W", 2, "Z")), np.random.default_rng(7), rank=rank)
+    return tensor_product(rho, helper)
+
+
 def _lockstep_cases():
-    """(name, state, root, budget, restarts stop at different iterations)"""
+    """(name, state, root, budget, search tol, restarts stop at different
+    iterations)"""
     def dims(*helpers):
         return DimSpec.make(("A", 2, "A"), ("B", 2, "B"),
                             *[(f"Z{j}", d, "Z") for j, d in enumerate(helpers)])
 
     return [
         ("pure z2 entropy", random_pure(dims(2), np.random.default_rng(1)).to_density(),
-         entropy_measure(), LEConfig(restarts=4, max_iters=300, tol=1e-4, seed=9), True),
+         entropy_measure(), LEConfig(restarts=4, max_iters=300, seed=9), 1e-4, True),
         ("pure z22 G", random_pure(dims(2, 2), np.random.default_rng(2)).to_density(),
-         gconcurrence_measure(), LEConfig(restarts=4, max_iters=290, tol=1e-2, seed=9), True),
+         gconcurrence_measure(), LEConfig(restarts=4, max_iters=290, seed=9), 1e-2, True),
         ("mixed z2 concurrence", random_density(dims(2), np.random.default_rng(3), rank=3),
-         concurrence_measure(), LEConfig(restarts=3, max_iters=250, tol=1e-4, seed=9), True),
+         concurrence_measure(), LEConfig(restarts=3, max_iters=250, seed=9), 1e-4, True),
         ("mixed z22 G", random_density(dims(2, 2), np.random.default_rng(4), rank=2),
-         gconcurrence_measure(), LEConfig(restarts=4, max_iters=300, tol=1e-2, seed=9), True),
-        ("one restart", random_pure(dims(3), np.random.default_rng(5)).to_density(),
-         concurrence_measure(), LEConfig(restarts=1, max_iters=45, seed=2), False),
-        ("no iterations", random_density(dims(2), np.random.default_rng(6), rank=2),
-         gconcurrence_measure(), LEConfig(restarts=3, max_iters=0, seed=2), False),
+         gconcurrence_measure(), LEConfig(restarts=4, max_iters=300, seed=9), 1e-2, True),
+        ("mixed helper ghz entropy", with_mixed_helper(ghz_state(3).to_density()),
+         entropy_measure(), LEConfig(restarts=4, max_iters=500, seed=9), 1e-9, True),
+        ("one restart",
+         with_mixed_helper(random_pure(dims(3), np.random.default_rng(5)).to_density()),
+         entropy_measure(), LEConfig(restarts=1, max_iters=45, seed=2), 1e-9, False),
+        ("no iterations", bell_with_idle_helper(), entropy_measure(),
+         LEConfig(restarts=3, max_iters=0, seed=2), 1e-9, False),
     ]
 
 
 @pytest.mark.parametrize("case", _lockstep_cases(), ids=lambda c: c[0])
 def test_lockstep_ascent_matches_per_restart_loop(case):
-    _, rho, measure, config, staggered = case
-    finals = _reference_ascent(rho, measure, config)
+    _, rho, measure, config, tol, staggered = case
+    finals = _reference_ascent(rho, measure, config, tol)
     ref_vals = [val for val, _, _, _ in finals]
     ref_iters = tuple(iters for _, _, _, iters in finals)
     assert (len(set(ref_iters)) > 1) == staggered
@@ -443,18 +456,20 @@ def test_lockstep_ascent_matches_per_restart_loop(case):
     shapes = [x.shape for x in finals[0][1]]
     vals, xs, flags, iters = lockstep_search(
         lambda ps: evaluator.averages([phase_fixed_qr(x)[0] for x in ps]), shapes,
-        config.seed, config.restarts, config.max_iters, accept=config.tol / 10,
-        reset=config.tol, shrink=0.5, patience=8 * len(shapes), stop=1e-5)
+        config.seed, config.restarts, config.max_iters, accept=tol / 10,
+        reset=tol, shrink=0.5, patience=8 * len(shapes), stop=1e-5)
     for i, (ref_val, ref_params, ref_flag, ref_iter) in enumerate(finals):
         assert vals[i] == ref_val
         for x, ref_x in zip(xs, ref_params):
             np.testing.assert_array_equal(x[i], ref_x)
         assert (flags[i], iters[i]) == (ref_flag, ref_iter)
+    if evaluator.exact_gradient:
+        return
 
-    # optimize_le reports the same ascent and returns the first best restart
-    res = optimize_le(rho, measure, LEConfig(restarts=config.restarts,
-                                             max_iters=config.max_iters, tol=config.tol,
-                                             seed=config.seed, polish=False))
+    # without an exact gradient optimize_le runs this search alone, at tol
+    # 1e-9, and returns the first best restart
+    assert tol == 1e-9
+    res = optimize_le(rho, measure, config)
     winner = int(np.argmax(ref_vals))
     assert res.restart_values == tuple(ref_vals)
     assert res.restart_iterations == ref_iters
@@ -477,7 +492,7 @@ class TestConfig:
 
     def test_zero_iterations_allowed(self):
         res = optimize_le(ghz_state(3).to_density(), entropy_measure(),
-                          LEConfig(restarts=2, max_iters=0, polish=False))
+                          LEConfig(restarts=2, max_iters=0))
         assert res.iterations == 0
         assert not res.converged
 
@@ -533,6 +548,9 @@ SIGMA_YY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
 
 
 class TestPolish:
+    """The one descent every restart runs: L-BFGS on the exact gradient, or
+    the random search where the input has none."""
+
     @pytest.mark.parametrize("measure", MEASURES[1:], ids=lambda m: m.kind)
     def test_reaches_concurrence_of_assistance(self, measure):
         # one helper on a pure state: the LE is the concurrence of assistance
@@ -547,7 +565,7 @@ class TestPolish:
                               LEConfig(restarts=2, max_iters=100, seed=i))
             assert coa - 1e-6 <= res.value <= coa + 1e-12
 
-    @pytest.mark.parametrize("case", [
+    DESCENT_CASES = [
         ("ghz entropy", lambda: ghz_state(3).to_density(), entropy_measure()),
         ("w concurrence", lambda: w_state(3).to_density(), concurrence_measure()),
         ("pure 2x2x3 G", lambda: random_pure(DimSpec.make(
@@ -556,65 +574,53 @@ class TestPolish:
         ("rank-2 2x2x2x2 concurrence", lambda: random_density(DimSpec.make(
             ("A", 2, "A"), ("B", 2, "B"), ("C", 2, "Z"), ("D", 2, "Z")),
             np.random.default_rng(5), rank=2), concurrence_measure()),
+        # entropy on a mixed state: no exact gradient, the random search alone
         ("mixed helper entropy", bell_with_idle_helper, entropy_measure()),
-    ], ids=lambda c: c[0])
+    ]
+
+    @pytest.mark.parametrize("case", DESCENT_CASES, ids=lambda c: c[0])
     def test_polish_never_below_ascent(self, case):
+        # each restart's descent (L-BFGS or the random search) ends no lower
+        # than its seeded start
         _, make, measure = case
         rho = make()
-        config = LEConfig(restarts=3, max_iters=60, seed=11, polish=False)
-        ascent = optimize_le(rho, measure, config)
-        assert ascent.evaluations == config.restarts + ascent.iterations
-        polished = optimize_le(rho, measure, LEConfig(restarts=3, max_iters=60, seed=11))
-        assert polished.iterations == ascent.iterations
-        assert polished.evaluations > ascent.evaluations
-        assert polished.value >= ascent.value - 1e-12
+        config = LEConfig(restarts=3, max_iters=60, seed=11)
+        res = optimize_le(rho, measure, config)
+        shapes = [(d * d, d) for d in (rho.dims.dim_of(lab) for lab in rho.dims.z_labels)]
+        starts = seeded_starts(config.seed, config.restarts, shapes)[1]
+        at_start = _FactorEvaluator(rho, measure).averages([phase_fixed_qr(x)[0] for x in starts])
+        assert np.all(np.array(res.restart_values) >= at_start - 1e-12)
+        assert res.value >= max(at_start) - 1e-12
 
-    @pytest.mark.parametrize("case", [
-        ("pure 2x2x3 G", lambda: random_pure(DimSpec.make(
-            ("A", 2, "A"), ("B", 2, "B"), ("C", 3, "Z")), np.random.default_rng(4)).to_density(),
-         gconcurrence_measure()),
-        # entropy on a mixed state: the polish runs on forward differences
-        ("mixed helper entropy", bell_with_idle_helper, entropy_measure()),
-    ], ids=lambda c: c[0])
+    @pytest.mark.parametrize("case", [DESCENT_CASES[2], DESCENT_CASES[4]], ids=lambda c: c[0])
     def test_polish_diagnostics(self, case):
+        # the one descent's diagnostics: per restart, the winner, and the
+        # evaluations (the random search: one per start and per iteration)
         _, make, measure = case
         rho = make()
-        ascent = optimize_le(rho, measure, LEConfig(restarts=3, max_iters=60, seed=11,
-                                                    polish=False))
-        assert (ascent.polish_iterations, ascent.polish_won,
-                ascent.polish_stop) == (0, False, None)
-        res = optimize_le(rho, measure, LEConfig(restarts=3, max_iters=60, seed=11))
-        assert res.polish_stop in ("gtol", "ftol", "line search")
-        assert res.polish_iterations > 0 or not res.polish_won
-        best = max(res.restart_values)
-        if res.polish_won:
-            assert res.value > best - 1e-12
+        config = LEConfig(restarts=3, max_iters=60, seed=11)
+        res = optimize_le(rho, measure, config)
+        exact = _FactorEvaluator(rho, measure).exact_gradient
+        assert exact == (measure.kind != "entropy")
+        assert len(res.restart_values) == len(res.restart_iterations) == config.restarts
+        assert res.winner == int(np.argmax(res.restart_values))
+        assert res.value == pytest.approx(res.restart_values[res.winner], abs=1e-12)
+        assert res.iterations == sum(res.restart_iterations)
+        if exact:
+            assert res.evaluations >= config.restarts + res.iterations
+            assert max(res.restart_iterations) <= config.max_iters
         else:
-            assert res.value == pytest.approx(best, abs=1e-12)
-            assert res.converged == ascent.converged
+            assert res.evaluations == config.restarts + res.iterations
         payload = res.to_dict("m")
-        assert (payload["polish_iterations"], payload["polish_won"], payload["polish_stop"]) == (
-            res.polish_iterations, res.polish_won, res.polish_stop)
-
-
-def test_difference_gradient_matches_exact_gradient():
-    # a mixed 2 x 2 cut under G has an exact gradient; the forward-difference
-    # rows must agree with it
-    dims = DimSpec.make(("A", 2, "A"), ("B", 2, "B"), ("C", 2, "Z"), ("D", 2, "Z"))
-    rng = np.random.default_rng(17)
-    evaluator = _FactorEvaluator(random_density(dims, rng, rank=2), gconcurrence_measure())
-    assert evaluator.r == 2 and evaluator.exact_gradient
-    shapes = [(4, 2), (4, 2)]
-    flat = rng.standard_normal((3, 2 * sum(k * d for k, d in shapes)))
-    values, grads = evaluator.gradient_rows(flat, shapes)
-    fd_values, fd_grads = evaluator.difference_rows(flat, shapes)
-    np.testing.assert_allclose(fd_values, values, atol=1e-14, rtol=0)
-    np.testing.assert_allclose(fd_grads, grads, atol=1e-6, rtol=0)
+        assert (payload["iterations"], payload["evaluations"], payload["winner"],
+                payload["converged"]) == (res.iterations, res.evaluations, res.winner,
+                                          res.converged)
 
 
 def test_ascent_transforms_only_the_moved_party(monkeypatch):
-    # two helpers: one QR per party for the starts, then one per lockstep
-    # iteration (the moved party's proposals), then one per party for the POVM
+    # two helpers on a mixed state without an exact gradient: one QR per
+    # party for the starts, then one per lockstep iteration of the random
+    # search (the moved party's proposals), then one per party for the POVM
     import entloc.localize as localize
 
     calls = []
@@ -624,8 +630,86 @@ def test_ascent_transforms_only_the_moved_party(monkeypatch):
         return phase_fixed_qr(x)
 
     monkeypatch.setattr(localize, "phase_fixed_qr", counting_qr)
-    dims = DimSpec.make(("A", 2, "A"), ("B", 2, "B"), ("C", 2, "Z"), ("D", 2, "Z"))
-    rho = random_pure(dims, np.random.default_rng(8)).to_density()
-    res = optimize_le(rho, gconcurrence_measure(),
-                      LEConfig(restarts=3, max_iters=120, seed=5, polish=False))
+    dims = DimSpec.make(("A", 2, "A"), ("B", 2, "B"), ("C", 2, "Z"))
+    rho = with_mixed_helper(random_pure(dims, np.random.default_rng(8)).to_density())
+    assert not _FactorEvaluator(rho, entropy_measure()).exact_gradient
+    res = optimize_le(rho, entropy_measure(), LEConfig(restarts=3, max_iters=120, seed=5))
     assert len(calls) == 2 + max(res.restart_iterations) + 2
+
+
+def _independence_cases():
+    def dims(*helpers):
+        return DimSpec.make(("A", 2, "A"), ("B", 2, "B"),
+                            *[(f"Z{j}", d, "Z") for j, d in enumerate(helpers)])
+
+    return [
+        ("pure z23 G", random_pure(dims(2, 3), np.random.default_rng(40)).to_density(),
+         gconcurrence_measure()),
+        ("rank-2 z2 concurrence", random_density(dims(2), np.random.default_rng(41), rank=2),
+         concurrence_measure()),
+        ("rank-3 z22 G", random_density(dims(2, 2), np.random.default_rng(42), rank=3),
+         gconcurrence_measure()),
+    ]
+
+
+@pytest.mark.parametrize("case", _independence_cases(), ids=lambda c: c[0])
+def test_le_restart_does_not_depend_on_the_others(case):
+    # restart i starts from child i of the seed and descends as if alone, so
+    # fewer restarts reproduce the first ones bit for bit
+    _, rho, measure = case
+    assert _FactorEvaluator(rho, measure).exact_gradient
+    two = optimize_le(rho, measure, LEConfig(restarts=2, seed=4))
+    five = optimize_le(rho, measure, LEConfig(restarts=5, seed=4))
+    assert two.restart_values == five.restart_values[:2]
+    assert two.restart_iterations == five.restart_iterations[:2]
+    for res in (two, five):
+        assert res.value == pytest.approx(res.restart_values[res.winner], abs=1e-12)
+        assert res.iterations == sum(res.restart_iterations)
+        assert res.evaluations > res.iterations
+
+
+@pytest.mark.parametrize("rank,measure", [(1, entropy_measure()), (2, gconcurrence_measure())],
+                         ids=["pure-entropy", "rank2-G"])
+def test_batched_gradient_matches_each_row(rank, measure):
+    # one pass over a stack of restarts gives each row's value and gradient
+    dims = DimSpec.make(("A", 2, "A"), ("B", 2, "B"), ("C", 2, "Z"), ("D", 3, "Z"))
+    rng = np.random.default_rng(50 + rank)
+    evaluator = _FactorEvaluator(random_density(dims, rng, rank=rank), measure)
+    params = [rng.standard_normal((4, k, d)) + 1j * rng.standard_normal((4, k, d))
+              for k, d in ((3, 2), (4, 3))]
+    values, grads = evaluator.average_and_gradient(params)
+    assert values.shape == (4,)
+    for i in range(4):
+        value, row_grads = evaluator.average_and_gradient([x[i] for x in params])
+        assert values[i] == pytest.approx(value, abs=1e-14)
+        for g, row_g in zip(grads, row_grads):
+            np.testing.assert_allclose(g[i], row_g, atol=1e-13, rtol=0)
+
+
+class TestBoundLabel:
+    """An average is a lower bound unless a live branch took a roof solve."""
+
+    def test_mixed_qutrit_branches_are_estimates(self):
+        from entloc import RoofConfig
+
+        dims = DimSpec.make(("A", 3, "A"), ("B", 3, "B"), ("C", 2, "Z"))
+        rho = random_density(dims, spawn_rngs(5, 2)[0], rank=2)
+        measure = gconcurrence_measure(RoofConfig(restarts=2))
+        res = average_root_entanglement(rho, ProductPOVM.single_party("C", (P0, P1)), measure)
+        assert res.bound == "estimate"
+        assert res.to_dict("gconc")["bound"] == "estimate"
+
+    def test_pure_state_is_a_lower_bound(self):
+        dims = DimSpec.make(("A", 3, "A"), ("B", 3, "B"), ("C", 2, "Z"))
+        rho = random_pure(dims, np.random.default_rng(5)).to_density()
+        res = average_root_entanglement(rho, ProductPOVM.single_party("C", (P0, P1)),
+                                        gconcurrence_measure())
+        assert res.bound == "lower"
+        assert optimize_le(rho, gconcurrence_measure(),
+                           LEConfig(restarts=2, max_iters=20)).to_dict()["bound"] == "lower"
+
+    def test_mixed_two_qubit_branches_are_closed_form(self):
+        dims = DimSpec.make(("A", 2, "A"), ("B", 2, "B"), ("C", 2, "Z"))
+        rho = random_density(dims, np.random.default_rng(6), rank=3)
+        res = optimize_le(rho, gconcurrence_measure(), LEConfig(restarts=2, max_iters=20))
+        assert res.bound == "lower"

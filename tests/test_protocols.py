@@ -67,6 +67,26 @@ def test_probability_conservation():
     )
 
 
+class TestBoundLabel:
+    """A protocol's average is a lower bound unless a leaf took a roof solve."""
+
+    def test_mixed_qutrit_leaf_is_an_estimate(self):
+        from entloc import RoofConfig
+
+        dims = DimSpec.make(("A", 3, "A"), ("B", 3, "B"), ("C", 2, "Z"))
+        rho = random_density(dims, np.random.default_rng(3), rank=2)
+        tree = ProtocolNode("C", Instrument.projective("C", (P0, P1)), (None, None))
+        res = evaluate_protocol(rho, tree, gconcurrence_measure(RoofConfig(restarts=2)))
+        assert res.bound == "estimate"
+        assert res.to_dict("gconc")["bound"] == "estimate"
+
+    def test_pure_leaves_are_a_lower_bound(self):
+        res = evaluate_protocol(build_locked_state().to_density(), locked_state_protocol(),
+                                gconcurrence_measure())
+        assert res.bound == "lower"
+        assert res.to_dict("gconc")["bound"] == "lower"
+
+
 class TestLockedStateProtocol:
     def test_entropy_average_is_two(self):
         res = evaluate_protocol(

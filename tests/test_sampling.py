@@ -5,7 +5,7 @@ import pytest
 
 from entloc.sampling import lockstep_lbfgs, phase_fixed_qr, phase_fixed_qr_backward
 
-# L-BFGS-B's default stop tests, and the LE polish's
+# L-BFGS-B's default stop tests (the roof's), and the LE descent's
 DEFAULT_TOLS = dict(ftol=2.220446049250313e-09, gtol=1e-5)
 TIGHT_TOLS = dict(ftol=1e-15, gtol=1e-10)
 
@@ -96,6 +96,20 @@ def test_stationary_start_stops_at_once():
     x, f, iters, evals, success, stop = lockstep_lbfgs(rosenbrock, x0, **DEFAULT_TOLS)
     assert (stop[0], bool(success[0]), iters[0], evals[0]) == ("gtol", True, 0, 1)
     assert stop[1] != "" and iters[1] > 0
+
+
+def test_iteration_cap():
+    # a row stops after max_iters iterations; 0 leaves every row at its start
+    x0 = np.array([[-1.2, 1.0, 0.5], [1.0, 1.0, 1.0]])
+    full = lockstep_lbfgs(rosenbrock, x0[:1], **TIGHT_TOLS)
+    assert full[2][0] > 5
+    x, f, iters, evals, success, stop = lockstep_lbfgs(rosenbrock, x0, **TIGHT_TOLS, max_iters=5)
+    assert (iters[0], stop[0], bool(success[0])) == (5, "max_iters", False)
+    assert (iters[1], stop[1], bool(success[1])) == (0, "gtol", True)
+    x, f, iters, evals, success, stop = lockstep_lbfgs(rosenbrock, x0, **TIGHT_TOLS, max_iters=0)
+    np.testing.assert_array_equal(x, x0)
+    assert list(iters) == [0, 0] and list(evals) == [1, 1]
+    assert stop == ("max_iters", "gtol")
 
 
 @pytest.mark.parametrize("shape", [(5, 3), (4, 4), (6, 1)])
