@@ -227,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("le", help="run the localizable-entanglement search")
     p.add_argument("state")
     p.add_argument("--measure", choices=sorted(MEASURES), default="entropy")
-    p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--max-iters", type=int, default=300)
+    p.add_argument("--restarts", type=int, default=LEConfig.restarts)
+    p.add_argument("--max-iters", type=int, default=LEConfig.max_iters)
     p.add_argument("--seed", type=_non_negative_int, default=_default_seed())
     p.add_argument("--out")
     p.set_defaults(func=cmd_le)

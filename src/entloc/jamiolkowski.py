@@ -1,6 +1,12 @@
-"""Channel-state correspondence between a bipartite density operator on Y,Z
-and the completely positive map it induces from operators on Z to operators
-on Y.
+"""Channel-state correspondence, the one branch engine: a state on the Y|Z
+partition as the completely positive map it induces from operators on Z to
+operators on Y, held as the state's eigen-factor V (rho = V V^dag) with V[z]
+a (d_Y, r) block. A POVM element q = F F^dag gives the branch factor
+B = sum_z conj(F[z]) V[z], a whole stack of elements in one matrix product
+(``branch_factors``, ``povm_branch_factors``); B B^dag is the unnormalized
+branch Tr_Z[rho (I ⊗ q)]. The LE optimizer and every fixed-POVM average
+(``localize``), protocol-tree leaves (``protocols``, q = I) and acceptance
+criterion 7 (``checks.duality``) run on this one contraction.
 
 Transpose convention, fixed once: ``apply(q)`` computes
 ``Tr_Z[rho (I_Y ⊗ q^t)]``, which is the contraction consistent with the
@@ -16,33 +22,46 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import (
-    DensityOperator,
-    DimSpec,
-    DimensionError,
-    NullBranchError,
-    permute_parties,
-)
+from .states import DensityOperator, DimSpec, DimensionError, NullBranchError, permute_factor
+
+# eigenvalues of a state below this are its null space
+_STATE_RANK_TOL = 1e-11
+# eigenvalues of a POVM element below this share of its largest are its null space
+_ELEMENT_RANK_TOL = 1e-12
+
+
+def eigen_factor(rho: DensityOperator) -> np.ndarray:
+    """(d, r) eigen-factor V of rho = V V^dag, in rho's party order: the
+    eigenvectors of the eigenvalues above 1e-11 scaled by their square roots,
+    or the unit state vector when rho is a normalized pure state (r = 1)."""
+    evals, evecs = rho.eigensystem()
+    live = evals > _STATE_RANK_TOL
+    if rho.normalized and np.count_nonzero(live) == 1:
+        return np.ascontiguousarray(evecs[:, -1:])
+    return evecs[:, live] * np.sqrt(evals[live])
 
 
 @dataclass(frozen=True)
 class JamiolkowskiMap:
     """CP map from operators on the Z parties to operators on the Y parties.
 
-    Stored by reference to the source state, reordered to (Y..., Z...) party
-    order; applications are evaluated by tensor contraction on demand.
+    ``factor`` is the (d_Z, d_Y, r) eigen-factor of the source state, its
+    parties in (Z..., Y...) order; ``y_dims`` and ``z_dims`` are the two
+    layouts in map order.
     """
 
-    rho: DensityOperator          # party order: y_labels + z_labels
-    y_labels: tuple[str, ...]
-    z_labels: tuple[str, ...]
-    d_y: int
-    d_z: int
+    factor: np.ndarray
+    y_dims: DimSpec
+    z_dims: DimSpec
+    normalized: bool = True
 
     @property
-    def y_dims(self) -> DimSpec:
-        """Layout of the image space: the Y parties in map order."""
-        return self.rho.dims.subspec(self.y_labels)
+    def d_y(self) -> int:
+        return self.factor.shape[1]
+
+    @property
+    def d_z(self) -> int:
+        return self.factor.shape[0]
 
     def apply(self, q: np.ndarray) -> np.ndarray:
         """Tr_Z[rho (I ⊗ q^t)]: the branch map in the physical convention.
@@ -52,53 +71,76 @@ class JamiolkowskiMap:
         """
         if q.shape[-2:] != (self.d_z, self.d_z) or q.ndim not in (2, 3):
             raise DimensionError(f"operator shape {q.shape} != ({self.d_z}, {self.d_z})")
-        tens = self.rho.matrix.reshape(self.d_y, self.d_z, self.d_y, self.d_z)
-        # out[y, y'] = sum_{z z'} rho[(y z), (y' z')] (q^t)[z', z] = sum rho[(y z),(y' z')] q[z, z']
-        return np.einsum("yzwv,...zv->...yw", tens, q)
+        # out[y, w] = sum_{z v} rho[(y z), (w v)] q[z, v], with
+        # rho[(y z), (w v)] = sum_c V[z, y, c] conj(V[v, w, c])
+        return np.einsum("zyc,...zv,vwc->...yw", self.factor, q, self.factor.conj(),
+                         optimize=True)
 
     def apply_physical(self, q: np.ndarray) -> np.ndarray:
         """Unnormalized post-measurement branch Tr_Z[rho (I ⊗ q)] for POVM element
         q, or for each element of a (K, d_z, d_z) stack."""
         return self.apply(np.swapaxes(q, -1, -2))
 
+    def branch_factors(self, w: np.ndarray) -> np.ndarray:
+        """(K, d_Y, r) branch factors B_k = sum_z conj(w_kz) V[z] of K rank-one
+        POVM elements w_k w_k^dag, w a (K, d_Z) stack."""
+        d_z, d_y, r = self.factor.shape
+        return (w.conj() @ self.factor.reshape(d_z, -1)).reshape(len(w), d_y, r)
+
+    def povm_branch_factors(self, elements: np.ndarray) -> np.ndarray:
+        """(K, d_Y, m r) branch factors of a (K, d_Z, d_Z) stack of POVM
+        elements E_k = F_k F_k^dag, each column of F_k a rank-one element
+        (``branch_factors``). F_k comes from the eigendecomposition, with exact
+        zero columns for eigenvalues below 1e-12 of the element's largest."""
+        evals, evecs = np.linalg.eigh(elements)
+        keep = evals > _ELEMENT_RANK_TOL * evals[:, -1:]
+        m = max(1, int(np.max(np.count_nonzero(keep, axis=-1))))
+        # eigenvalues ascend, so the kept columns are among the last m
+        f = (evecs * np.sqrt(np.where(keep, evals, 0.0))[:, None, :])[:, :, -m:]
+        d_z, d_y, r = self.factor.shape
+        cols = self.branch_factors(np.swapaxes(f, 1, 2).reshape(-1, d_z))
+        return cols.reshape(len(f), m, d_y, r).swapaxes(1, 2).reshape(len(f), d_y, m * r)
+
+    def reduced_factor(self) -> np.ndarray:
+        """(d_Y, d_Z r) factor of Tr_Z rho, the branch of q = I: the helper
+        axes moved into the columns."""
+        return self.factor.transpose(1, 0, 2).reshape(self.d_y, -1)
+
     def branch(self, q: np.ndarray, null_tol: float = 1e-14):
-        """(probability, normalized branch DensityOperator on Y) for POVM element q."""
-        out = self.apply_physical(q)
-        p = float(np.trace(out).real)
+        """(probability, normalized branch DensityOperator on Y) for POVM
+        element q: B B^dag / p with B its ``povm_branch_factors`` factor."""
+        b = self.povm_branch_factors(np.asarray(q)[None])[0]
+        p = float(np.vdot(b, b).real)
         if p < null_tol:
             raise NullBranchError(f"branch probability {p:.3e} below {null_tol:.0e}")
-        out = 0.5 * (out + out.conj().T)
-        return p, DensityOperator(out / p, self.y_dims)
+        return p, DensityOperator(b @ b.conj().T / p, self.y_dims)
 
     def reconstruct(self) -> DensityOperator:
-        """(map ⊗ id)(|psi+><psi+|); equals the source state by construction."""
-        blocks = np.empty((self.d_y, self.d_y, self.d_z, self.d_z), dtype=np.complex128)
-        basis = np.eye(self.d_z)
-        for i in range(self.d_z):
-            for j in range(self.d_z):
-                blocks[:, :, i, j] = self.apply(np.outer(basis[i], basis[j]))
-        mat = blocks.transpose(0, 2, 1, 3).reshape(self.d_y * self.d_z, self.d_y * self.d_z)
-        return DensityOperator(mat, self.rho.dims, self.rho.normalized)
+        """(map ⊗ id)(|psi+><psi+|) = V V^dag on the (Y..., Z...) layout: the
+        source state up to the eigenvalues ``eigen_factor`` drops."""
+        v = self.factor.transpose(1, 0, 2).reshape(self.d_y * self.d_z, -1)
+        return DensityOperator(v @ v.conj().T, self.y_dims.concat(self.z_dims), self.normalized)
+
+
+def from_factor(factor: np.ndarray, dims: DimSpec, y_labels, z_labels,
+                normalized: bool = True) -> JamiolkowskiMap:
+    """The map of rho = F F^dag across Y|Z, F a (d, r) factor on ``dims`` in
+    its party order; Y and Z must partition the parties (Z may be empty)."""
+    y_labels, z_labels = tuple(y_labels), tuple(z_labels)
+    moved, spec = permute_factor(factor, dims, z_labels + y_labels)
+    d_z = spec.dim_of_labels(z_labels)
+    return JamiolkowskiMap(moved.reshape(d_z, -1, factor.shape[-1]), spec.subspec(y_labels),
+                           spec.subspec(z_labels), normalized)
 
 
 def from_state(rho: DensityOperator, y_labels=None, z_labels=None) -> JamiolkowskiMap:
-    """Build the CP map associated with a state across the Y|Z partition.
+    """Build the CP map associated with a state across the Y|Z partition,
+    from its ``eigen_factor``.
 
     Defaults to the role-derived partition of the state's layout.
     """
     if y_labels is None and z_labels is None:
-        y_labels = rho.dims.y_labels
-        z_labels = rho.dims.z_labels
-    y_labels, z_labels = tuple(y_labels), tuple(z_labels)
-    if set(y_labels) | set(z_labels) != set(rho.dims.labels) or set(y_labels) & set(z_labels):
-        raise DimensionError("Y/Z partition must cover all party labels exactly once")
+        y_labels, z_labels = rho.dims.y_labels, rho.dims.z_labels
     if not z_labels:
         raise DimensionError("partition needs at least one Z party")
-    ordered = permute_parties(rho, y_labels + z_labels)
-    return JamiolkowskiMap(
-        rho=ordered,
-        y_labels=y_labels,
-        z_labels=z_labels,
-        d_y=rho.dims.dim_of_labels(y_labels),
-        d_z=rho.dims.dim_of_labels(z_labels),
-    )
+    return from_factor(eigen_factor(rho), rho.dims, y_labels, z_labels, rho.normalized)

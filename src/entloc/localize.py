@@ -14,7 +14,8 @@ the gradient is carried back through the row-wise Kronecker product of the
 outcome vectors and the QR to x, for every restart in one pass. The
 remaining cases (G on a larger mixed cut, entropy on a mixed state) run the
 random-step search ``sampling.lockstep_search`` alone.
-``average_root_entanglement`` scores a fixed POVM in the same factor form, so
+Every branch comes from the state's Jamiolkowski map (``jamiolkowski``), and
+``average_root_entanglement`` scores a fixed POVM on the same contraction, so
 the value ``optimize_le`` reports is the value its search reached. Values
 carry LOWER-bound semantics (the true maximum can only be higher) unless a
 live branch took a convex-roof solve, itself an upper bound; such a value is
@@ -30,18 +31,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .jamiolkowski import from_state
 from .measures import _YY, NULL_BRANCH_TOL, RootMeasure, _takagi_stack, spectrum_value
 from .sampling import (flatten_complex, lockstep_lbfgs, lockstep_search, phase_fixed_qr,
                        phase_fixed_qr_backward, seeded_starts, unflatten_complex)
-from .states import DensityOperator, DimSpec, DimensionError
+from .states import DensityOperator, DimensionError
 
 # fixed stop tests of the L-BFGS descent: relative reduction, largest |gradient|
 _LBFGS_FTOL, _LBFGS_GTOL = 1e-15, 1e-10
 # the random search takes a gain above _ACCEPT; one below _RESET still counts
 # as stale
 _ACCEPT, _RESET = 1e-10, 1e-9
-# eigenvalues of a POVM element below this share of its largest are its null space
-_ELEMENT_RANK_TOL = 1e-12
+# restarts within this share of the best value reached it too
+_SAME_VALUE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -100,12 +102,15 @@ class LEResult:
     to the true localizable entanglement. ``bound`` says so ("lower") unless
     a live branch took a convex-roof solve (``RootMeasure.needs_roof``),
     whose value is an upper bound: the average is then an "estimate".
+    ``converged`` is True when a restart within 1e-12 (relative) of the
+    winning value stopped on its test (L-BFGS: gtol or ftol; the search: its
+    step rule), though ``winner`` itself may have stopped on "line search".
     """
 
     value: float
     povm: ProductPOVM
     branches: tuple[tuple[float, float], ...]  # (probability, branch measure value)
-    converged: bool = True  # the winning restart's stop test
+    converged: bool = True
     seed: int | None = None
     iterations: int = 0  # summed over the restarts
     evaluations: int = 0  # objective evaluations, summed over the restarts
@@ -158,26 +163,20 @@ def average_root_entanglement(rho: DensityOperator, povm: ProductPOVM,
                               measure: RootMeasure) -> LEResult:
     """Average branch entanglement for a fixed product POVM on the helpers.
 
-    Each POVM element is factored as E_k = F_k F_k^dag from its
-    eigendecomposition, with exact zero columns where an eigenvalue is below
-    1e-12 of the element's largest; F_k meets the state's eigen-factor in the
-    evaluator of ``optimize_le``, so the branches come from one contraction
-    and are scored in one batched call, as the optimizer scores them. Null
-    branches (probability below 1e-14) contribute zero. The result's
-    ``bound`` is "estimate" when a live branch ``needs_roof`` on its
-    spectrum, "lower" otherwise.
+    The branches come from the state's Jamiolkowski map
+    (``JamiolkowskiMap.povm_branch_factors``), the contraction the evaluator
+    of ``optimize_le`` runs, and are scored in one batched call, as the
+    optimizer scores them. Null branches (probability below 1e-14)
+    contribute zero. The result's ``bound`` is "estimate" when a live branch
+    ``needs_roof`` on its spectrum, "lower" otherwise.
     """
     if tuple(povm.z_labels) != tuple(rho.dims.z_labels):
         raise DimensionError(
             f"POVM helper labels {povm.z_labels} != state helper labels {rho.dims.z_labels}"
         )
     evaluator = _FactorEvaluator(rho, measure)
-    evals, evecs = np.linalg.eigh(np.stack([povm.element(k) for k in range(povm.n_outcomes)]))
-    keep = evals > _ELEMENT_RANK_TOL * evals[:, -1:]
-    m = max(1, int(np.max(np.count_nonzero(keep, axis=-1))))
-    # eigenvalues ascend, so the kept columns are among the last m
-    elements = (evecs * np.sqrt(np.where(keep, evals, 0.0))[:, None, :])[:, :, -m:]
-    factors = evaluator._branch_factors(elements)
+    factors = evaluator.jam.povm_branch_factors(
+        np.stack([povm.element(k) for k in range(povm.n_outcomes)]))
     p, values = measure.factor_branches(factors, evaluator.y_dims, evaluator.cut)
     roofed = (p > 0) & measure.needs_roof(evaluator.y_dims, evaluator.cut,
                                           np.linalg.svd(factors, compute_uv=False) ** 2)
@@ -282,14 +281,10 @@ def _takagi_branch_gradient(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 class _FactorEvaluator:
-    """Branch averages of one state over rank-one product outcomes, in factor form.
-
-    rho = V V^dag with V its eigen-factor (eigenvalues above 1e-11; the unit
-    state vector when rho is a normalized pure state, r = 1). The branch of outcome vector w_k
-    is B_k B_k^dag with B_k = sum_z conj(w_kz) V[:, z, :], so one matrix
-    product gives the (K, d_A d_B, r) stack of branch factors, scored by
-    ``RootMeasure.factor_branches``. A POVM element E_k = F_k F_k^dag of rank
-    m gives the m r columns F_k^dag V the same way (``average_root_entanglement``).
+    """Branch averages of one state over rank-one product outcomes on its
+    Jamiolkowski map across (A..., B...) | Z: one ``branch_factors`` product
+    gives the (K, d_A d_B, r) branch factors of K outcome vectors, scored by
+    ``RootMeasure.factor_branches``.
 
     ``average_and_gradient`` carries the exact gradient back to the Gaussian
     pre-images where the root has a closed form (``exact_gradient``): r = 1
@@ -304,40 +299,18 @@ class _FactorEvaluator:
         a, b = self.cut = dims.a_labels, dims.b_labels
         self.da, self.db = dims.dim_of_labels(a), dims.dim_of_labels(b)
         measure.check_cut(self.da, self.db)
-        evals, evecs = rho.eigensystem()
-        live = evals > 1e-11
-        if rho.normalized and np.count_nonzero(live) == 1:
-            v = np.ascontiguousarray(evecs[:, -1:])  # the state vector, unit norm
-        else:
-            v = evecs[:, live] * np.sqrt(evals[live])
-        self.r = v.shape[1]
-        z = dims.z_labels
-        axes = dims.axes_of(z + a + b) + [len(dims.labels)]
-        # (d_Z, d_A d_B r): rows index the joint helper space
-        self.factor = v.reshape(dims.local_dims + (self.r,)).transpose(axes).reshape(
-            dims.dim_of_labels(z), -1)
-        self.y_dims = DimSpec(tuple((lab, dims.dim_of(lab)) for lab in a + b),
-                              {lab: dims.roles[lab] for lab in a + b})
+        self.jam = from_state(rho, a + b, dims.z_labels)
+        self.y_dims, self.r = self.jam.y_dims, self.jam.factor.shape[-1]
         self.measure = measure
         self.exact_gradient = self.r == 1 or (
             measure.kind != "entropy" and (self.da, self.db) == (2, 2))
-
-    def _branch_factors(self, w: np.ndarray) -> np.ndarray:
-        """(K, d_A d_B, m r) branch factors of K outcome vectors, w a (K, d_Z)
-        stack (m = 1), or of K POVM elements E_k = F_k F_k^dag, w the
-        (K, d_Z, m) stack of their factors."""
-        if w.ndim == 3:
-            k, _, m = w.shape
-            cols = self._branch_factors(np.swapaxes(w, 1, 2).reshape(k * m, -1))
-            return cols.reshape(k, m, -1, self.r).swapaxes(1, 2).reshape(k, -1, m * self.r)
-        return (w.conj() @ self.factor).reshape(w.shape[0], self.da * self.db, self.r)
 
     def averages(self, isos) -> np.ndarray:
         """Averages of a batch of POVMs, party i's isometries a (R, K_i, d_i)
         stack: all R K branches are scored in one call."""
         w = _outcome_vectors(isos)
         p, values = (a.reshape(w.shape[:2]) for a in self.measure.factor_branches(
-            self._branch_factors(w.reshape(-1, w.shape[-1])), self.y_dims, self.cut))
+            self.jam.branch_factors(w.reshape(-1, w.shape[-1])), self.y_dims, self.cut))
         # row-by-column products: numpy's dot, one per restart
         return (p[:, None, :] @ values[:, :, None])[:, 0, 0]
 
@@ -353,13 +326,14 @@ class _FactorEvaluator:
         qrs = [phase_fixed_qr(x) for x in params]
         isos = [q for q, _ in qrs]
         w = _outcome_vectors(isos)
-        factors = self._branch_factors(w.reshape(-1, w.shape[-1]))
+        factors = self.jam.branch_factors(w.reshape(-1, w.shape[-1]))
         if self.r == 1:
             values, g_f = _pure_branch_gradient(
                 self.measure.kind, factors.reshape(-1, self.da, self.db))
         else:
             values, g_f = _takagi_branch_gradient(factors)
-        g_w = g_f.reshape(w.shape[:-1] + (-1,)).conj() @ self.factor.T
+        g_w = g_f.reshape(w.shape[:-1] + (-1,)).conj() @ self.jam.factor.reshape(
+            self.jam.d_z, -1).T
         return values.reshape(w.shape[:-1]).sum(axis=-1), [
             phase_fixed_qr_backward(q, r, g)
             for (q, r), g in zip(qrs, _outcome_vectors_backward(isos, g_w))]
@@ -404,10 +378,12 @@ def optimize_le(rho: DensityOperator, measure: RootMeasure,
             transform=lambda x: phase_fixed_qr(x)[0])
         evaluations = config.restarts + int(np.sum(iterations))
     winner = int(np.argmax(values))  # the first restart with the best value
+    reached = np.abs(values - values[winner]) <= _SAME_VALUE * abs(values[winner])
 
     povm = _povm_from_isometries(z_labels, [phase_fixed_qr(x[winner])[0] for x in params])
     result = average_root_entanglement(rho, povm, measure)
-    return LEResult(result.value, povm, result.branches, converged=bool(flags[winner]),
+    return LEResult(result.value, povm, result.branches,
+                    converged=bool(np.any(np.asarray(flags)[reached])),
                     seed=config.seed, iterations=int(np.sum(iterations)),
                     evaluations=evaluations,
                     restart_values=tuple(float(v) for v in values),

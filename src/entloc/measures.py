@@ -3,13 +3,14 @@ two-qubit concurrence closed form, the geometric-mean concurrence family for
 pure states, and the per-outcome contraction factor of dimension-preserving
 instruments.
 
-``RootMeasure`` scores every state in one form: a stack of branch factors
-F_k, the branch being F_k F_k^dag (``RootMeasure.factor_branches``); one
-state is a stack of one, its eigen-factor (``RootMeasure.density``). A
-rank-one branch is scored on its Schmidt spectrum, a two-qubit branch under
-the concurrence or G by one Wootters kernel, any other branch on the Schmidt
-spectrum of its top singular vector. ``RootMeasure.needs_roof`` is the one
-rule that sends G of a mixed branch to the convex roof instead.
+``RootMeasure`` scores every state in one form, a stack of branch factors F_k
+in cut order, the branch being F_k F_k^dag (``RootMeasure.factor_branches``):
+one state is its eigen-factor (``density``), a state vector one column
+(``gconcurrence_pure``, ``entropy_of_entanglement``). A rank-one branch is
+scored on its Schmidt spectrum, a two-qubit branch under the concurrence or G
+by one Wootters kernel, any other branch on the Schmidt spectrum of its top
+singular vector. ``RootMeasure.needs_roof`` is the one rule that sends G of a
+mixed branch to the convex roof instead.
 
 The geometric-mean concurrence for a d x d pure state is
 d * (lambda_0 ... lambda_{d-1})^(1/d) with lambda the squared Schmidt
@@ -30,7 +31,7 @@ from .states import (
     DimSpec,
     DimensionError,
     PureState,
-    schmidt_decompose,
+    permute_factor,
 )
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -44,34 +45,15 @@ class MixedBranchError(ValueError):
     """A root measure defined on pure states only (entropy) met a mixed state."""
 
 
-def _role_cut(dims: DimSpec):
+def _cut_or_default(dims: DimSpec, cut):
+    """The cut as two label tuples; None is the A-role | rest cut of a state
+    without Z parties."""
+    if cut is not None:
+        return tuple(cut[0]), tuple(cut[1])
     dims.require_bipartite_roles()
     if dims.z_labels:
-        raise DimensionError(
-            "state has Z parties; pass an explicit cut or reduce to Y first"
-        )
-    left = dims.a_labels
-    right = tuple(lab for lab in dims.labels if lab not in left)
-    return left, right
-
-
-def _cut_or_default(dims: DimSpec, cut):
-    if cut is None:
-        return _role_cut(dims)
-    return tuple(cut[0]), tuple(cut[1])
-
-
-def _schmidt_numbers_homogeneous(psi: PureState, cut) -> tuple[np.ndarray, int]:
-    """Squared singular values of the coefficient matrix, padded to max(dl, dr).
-
-    Works on unnormalized vectors (no normalization applied), so downstream
-    measures inherit exact homogeneity.
-    """
-    left, right = _cut_or_default(psi.dims, cut)
-    sd = schmidt_decompose(
-        PureState(psi.amplitudes, psi.dims, normalized=False), left, right
-    )
-    return sd.schmidt_numbers, sd.schmidt_numbers.size
+        raise DimensionError("state has Z parties; pass an explicit cut or reduce to Y first")
+    return dims.a_labels, tuple(lab for lab in dims.labels if lab not in dims.a_labels)
 
 
 def spectrum_value(kind: str, lam: np.ndarray, d: int) -> np.ndarray:
@@ -96,8 +78,7 @@ def entropy_of_entanglement(psi: PureState, cut=None) -> float:
     """Von Neumann entropy (base-2) of the reduced state across the cut, in ebits."""
     if abs(np.linalg.norm(psi.amplitudes) - 1.0) > 1e-8 and psi.normalized:
         raise ValueError("entropy of entanglement needs a normalized state")
-    lam, d = _schmidt_numbers_homogeneous(psi, cut)
-    return float(spectrum_value("entropy", lam, d))
+    return _pure_value("entropy", psi, cut)
 
 
 def gconcurrence_pure(psi: PureState, cut=None) -> float:
@@ -106,8 +87,15 @@ def gconcurrence_pure(psi: PureState, cut=None) -> float:
     d * (prod lambda_i)^(1/d) with d = max of the two cut dimensions; exactly
     zero when the cut dimensions differ (zero padding annihilates the product).
     """
-    lam, d = _schmidt_numbers_homogeneous(psi, cut)
-    return float(spectrum_value("gconcurrence", lam, d))
+    return _pure_value("gconcurrence", psi, cut)
+
+
+def _pure_value(kind: str, psi: PureState, cut) -> float:
+    """p v of a state vector scored as a one-column stack in cut order."""
+    left, right = _cut_or_default(psi.dims, cut)
+    factor, dims = permute_factor(psi.amplitudes[:, None], psi.dims, left + right)
+    p, values = RootMeasure(kind).factor_branches(factor[None], dims, (left, right))
+    return float(p[0] * values[0])
 
 
 def _takagi_stack(factors: np.ndarray) -> np.ndarray:
@@ -140,18 +128,6 @@ def wootters_concurrence(rho: DensityOperator, cut=None) -> float:
         raise DimensionError("concurrence closed form requires a 2 x 2 qubit pair")
     evals, evecs = rho.eigensystem()
     return float(_wootters_from_factors((evecs * np.sqrt(evals))[None])[0])
-
-
-def _in_cut_order(factors: np.ndarray, dims: DimSpec, order) -> tuple[np.ndarray, DimSpec]:
-    """A (K, d, r) factor stack and its layout with the parties permuted into
-    ``order``, which must list every party once."""
-    if sorted(order) != sorted(dims.labels):
-        raise DimensionError("cut must partition the party labels")
-    axes = [0] + [a + 1 for a in dims.axes_of(order)] + [len(order) + 1]
-    k, _, r = factors.shape
-    moved = factors.reshape((k,) + dims.local_dims + (r,)).transpose(axes)
-    spec = DimSpec(tuple((lab, dims.dim_of(lab)) for lab in order), dict(dims.roles))
-    return moved.reshape(factors.shape), spec
 
 
 def f_factor(kraus_ops, d: int | None = None) -> float:
@@ -268,14 +244,15 @@ class RootMeasure:
             from .roof import gconcurrence_mixed
 
             return gconcurrence_mixed(rho, (left, right), self.roof_config)[0]
-        factor = (evecs * np.sqrt(evals))[None]
-        return float(self.factor_branches(factor, rho.dims, (left, right))[1][0])
+        factor, dims = permute_factor(evecs * np.sqrt(evals), rho.dims, left + right)
+        return float(self.factor_branches(factor[None], dims, (left, right))[1][0])
 
     def factor_branches(self, factors: np.ndarray, dims: DimSpec,
                         cut) -> tuple[np.ndarray, np.ndarray]:
         """(probabilities, values) of a (K, d, r) stack of branch factors, the
-        branch of outcome k being F_k F_k^dag on the layout ``dims``, scored
-        across ``cut``; the parties are put in cut order first.
+        branch of outcome k being F_k F_k^dag on the layout ``dims``, whose
+        parties are in cut order (``states.permute_factor``), scored across
+        ``cut``.
 
         Rank one (r = 1): the Schmidt spectrum of each factor. Concurrence and
         G on a two-qubit cut: the Wootters kernel on the Takagi matrices of the
@@ -289,7 +266,7 @@ class RootMeasure:
         dl, dr = dims.dim_of_labels(left), dims.dim_of_labels(right)
         self.check_cut(dl, dr)
         if dims.labels != left + right:
-            factors, dims = _in_cut_order(factors, dims, left + right)
+            raise DimensionError(f"factor parties {dims.labels} are not in cut order")
         if factors.shape[-1] == 1:
             s = np.linalg.svd(factors.reshape(-1, dl, dr), compute_uv=False)
             lam = s * s

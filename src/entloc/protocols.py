@@ -3,10 +3,14 @@ evaluation on a shared state, and one-step monotonicity gap checks.
 
 A tree node names the acting party and its instrument; every outcome is
 broadcast (children are indexed by outcome), so classical communication is
-implicit in the branching. Leaves score the remaining A-B state with a root
-measure. The collaboration value of a given tree is an achievable average,
-hence a lower bound on the collaboration optimum, unless a leaf took a
-convex-roof solve, itself an upper bound: that value is an estimate.
+implicit in the branching. A branch is carried as a factor F of its
+unnormalized state, from the state's ``eigen_factor``: outcome j maps it
+one-sided to the columns of (M_jk ⊗ I) F over its Kraus operators M_jk, and
+a leaf is the branch's Jamiolkowski map at q = I (the helper axes moved into
+the columns), scored by one ``RootMeasure.factor_branches`` call. The
+collaboration value of a given tree is an achievable average, hence a lower
+bound on the collaboration optimum, unless a leaf took a convex-roof solve,
+itself an upper bound: that value is an estimate.
 """
 
 from __future__ import annotations
@@ -16,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import LockedStateSpec
+from .jamiolkowski import eigen_factor, from_factor
 from .localize import LEConfig, ProductPOVM, average_root_entanglement, optimize_le
 from .measures import Instrument, RootMeasure
-from .states import DensityOperator, DimensionError, DimSpec, partial_trace
+from .states import DensityOperator, DimensionError, DimSpec, permute_factor
 
 _PRUNE_TOL = 1e-14
 
@@ -74,64 +79,64 @@ def _party_axis(dims: DimSpec, instrument: Instrument) -> int:
     return dims.labels.index(party)
 
 
-def _apply_outcome(mat: np.ndarray, kraus, axis: int, dims: DimSpec) -> np.ndarray:
-    """sum_k M_k mat M_k^dag, each M_k contracted on one party's ket axis and
-    its conjugate on the same party's bra axis."""
-    n = len(dims.labels)
-    tens = mat.reshape(dims.local_dims * 2)
-    out = np.zeros_like(tens)
-    for m in kraus:
-        ket = np.moveaxis(np.tensordot(m, tens, axes=(1, axis)), 0, axis)
-        out += np.moveaxis(np.tensordot(ket, m.conj(), axes=(n + axis, 1)), -1, n + axis)
-    return out.reshape(mat.shape)
+def _apply_kraus(factor: np.ndarray, kraus, axis: int, dims: DimSpec) -> np.ndarray:
+    """(M_k ⊗ I) F for each Kraus operator M_k of one outcome on one party's
+    axis, columns concatenated: a factor of sum_k M_k F F^dag M_k^dag."""
+    tens = factor.reshape(dims.local_dims + factor.shape[-1:])
+    out = np.tensordot(np.stack(kraus), tens, axes=(2, axis))
+    return np.moveaxis(out, (0, 1), (-1, axis)).reshape(len(factor), -1)
 
 
 def evaluate_protocol(rho: DensityOperator, root: ProtocolNode | None,
                       measure: RootMeasure) -> ProtocolResult:
     """Depth-first branch evolution of the protocol tree on the shared state.
 
-    Branch weight is carried in the unnormalized matrix trace; leaves trace
-    out the helper parties and score the Y state across the A|B cut.
+    A branch weighs the squared norm of its factor; a leaf's singular values
+    give its bound, and its state is F F^dag / p on the Y parties in party
+    order.
     """
     dims = rho.dims
     dims.require_bipartite_roles()
     cut = (dims.a_labels, dims.b_labels)
-    y_labels = dims.y_labels
-    leaves = []
-    leaf_states = []
+    leaves, leaf_states, roofed = [], [], []
 
-    def recurse(mat: np.ndarray, node, path):
-        p = float(np.trace(mat).real)
+    def recurse(factor: np.ndarray, node, path):
+        p = float(np.vdot(factor, factor).real)
         if p < _PRUNE_TOL:
             return
         if node is None:
-            branch = DensityOperator(0.5 * (mat + mat.conj().T) / p, dims)
-            sigma = partial_trace(branch, y_labels)
-            leaves.append((p, measure.density(sigma, cut), tuple(path)))
-            leaf_states.append(sigma)
+            jam = from_factor(factor, dims, cut[0] + cut[1], dims.z_labels)
+            leaf = jam.reduced_factor()
+            value = measure.factor_branches(leaf[None], jam.y_dims, cut)[1][0]
+            roofed.append(measure.needs_roof(jam.y_dims, cut,
+                                             np.linalg.svd(leaf, compute_uv=False) ** 2))
+            leaf, y_dims = permute_factor(leaf, jam.y_dims, dims.y_labels)
+            leaves.append((p, float(value), tuple(path)))
+            leaf_states.append(DensityOperator(leaf @ leaf.conj().T / p, y_dims))
             return
         axis = _party_axis(dims, node.instrument)
         for j, kraus in enumerate(node.instrument.outcomes):
-            recurse(_apply_outcome(mat, kraus, axis, dims), node.children[j], path + [j])
+            recurse(_apply_kraus(factor, kraus, axis, dims), node.children[j], path + [j])
 
-    recurse(rho.matrix.copy(), root, [])
+    recurse(eigen_factor(rho), root, [])
     average = float(sum(p * v for p, v, _ in leaves))
-    roofed = any(measure.needs_roof(s.dims, cut, s.eigensystem()[0]) for s in leaf_states)
     return ProtocolResult(average, tuple(leaves), tuple(leaf_states),
-                          "estimate" if roofed else "lower")
+                          "estimate" if any(roofed) else "lower")
 
 
 def apply_instrument(rho: DensityOperator, instrument: Instrument):
-    """Outcome list [(q_j, normalized post state)] of one local instrument."""
+    """Outcome list [(q_j, normalized post state F F^dag / q_j)] of one local
+    instrument, F the one-sided map of the state's ``eigen_factor``."""
     axis = _party_axis(rho.dims, instrument)
+    factor = eigen_factor(rho)
     out = []
     for kraus in instrument.outcomes:
-        mat = _apply_outcome(rho.matrix, kraus, axis, rho.dims)
-        q = float(np.trace(mat).real)
+        post = _apply_kraus(factor, kraus, axis, rho.dims)
+        q = float(np.vdot(post, post).real)
         if q < _PRUNE_TOL:
             out.append((0.0, None))
             continue
-        out.append((q, DensityOperator(0.5 * (mat + mat.conj().T) / q, rho.dims)))
+        out.append((q, DensityOperator(post @ post.conj().T / q, rho.dims)))
     return out
 
 

@@ -12,9 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-NORM_ATOL = 1e-12
-EIG_CLIP = 1e-12
-
 ROLE_A = "A"
 ROLE_B = "B"
 ROLE_Z = "Z"
@@ -194,7 +191,7 @@ class DensityOperator:
         return float(np.trace(self.matrix).real)
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (ascending, clipped at -EIG_CLIP .. 0) and eigenvectors."""
+        """Eigenvalues (ascending, clipped at 0; below -1e-8 raises) and eigenvectors."""
         evals, evecs = np.linalg.eigh(self.matrix)
         if evals.size and evals[0] < -1e-8:
             raise ValueError(f"density matrix has negative eigenvalue {evals[0]:.3e}")
@@ -233,27 +230,27 @@ class SchmidtDecomposition:
     right_labels: tuple[str, ...]
 
 
-def _permuted_vector(psi: PureState, label_order) -> np.ndarray:
-    axes = psi.dims.axes_of(label_order)
-    return psi.as_tensor().transpose(axes).ravel()
+def permute_factor(factor: np.ndarray, dims: DimSpec, label_order) -> tuple[np.ndarray, DimSpec]:
+    """A (d, r) factor F of rho = F F^dag on ``dims`` and its layout, with the
+    parties permuted into ``label_order``."""
+    label_order = tuple(label_order)
+    if sorted(label_order) != sorted(dims.labels):
+        raise DimensionError("label_order must be a permutation of the party labels")
+    tens = factor.reshape(dims.local_dims + factor.shape[-1:])
+    moved = tens.transpose(dims.axes_of(label_order) + [len(label_order)])
+    spec = DimSpec(tuple((lab, dims.dim_of(lab)) for lab in label_order), dict(dims.roles))
+    return moved.reshape(factor.shape), spec
 
 
 def permute_parties(state, label_order):
     """Reorder the tensor factors of a pure or density state."""
-    label_order = tuple(label_order)
-    if set(label_order) != set(state.dims.labels):
-        raise DimensionError("label_order must be a permutation of the party labels")
-    spec = DimSpec(
-        parties=tuple((lab, state.dims.dim_of(lab)) for lab in label_order),
-        roles=dict(state.dims.roles),
-    )
     if isinstance(state, PureState):
-        return PureState(_permuted_vector(state, label_order), spec, state.normalized)
-    axes = state.dims.axes_of(label_order)
-    n = len(axes)
-    tens = state.as_tensor().transpose(axes + [a + n for a in axes])
-    d = spec.total_dim
-    return DensityOperator(tens.reshape(d, d), spec, state.normalized)
+        vec, spec = permute_factor(state.amplitudes[:, None], state.dims, label_order)
+        return PureState(vec[:, 0], spec, state.normalized)
+    # rows, then columns: (P rho) P^T = (P (P rho)^T)^T
+    rows, spec = permute_factor(state.matrix, state.dims, label_order)
+    mat = permute_factor(rows.T, state.dims, label_order)[0].T
+    return DensityOperator(mat, spec, state.normalized)
 
 
 def tensor_product(x, y):
@@ -305,7 +302,7 @@ def schmidt_decompose(psi: PureState, left_labels=None, right_labels=None) -> Sc
     if set(left_labels) | set(right_labels) != set(psi.dims.labels) or \
             set(left_labels) & set(right_labels):
         raise DimensionError("cut must partition the party labels")
-    vec = _permuted_vector(psi, left_labels + right_labels)
+    vec = permute_parties(psi, left_labels + right_labels).amplitudes
     dl = psi.dims.dim_of_labels(left_labels)
     dr = psi.dims.dim_of_labels(right_labels)
     u, s, vh = np.linalg.svd(vec.reshape(dl, dr), full_matrices=False)

@@ -12,7 +12,7 @@ from entloc import (
     tensor_product,
 )
 from entloc.catalog import build_locked_state, phi_plus_vector
-from entloc.sampling import random_density, random_povm
+from entloc.sampling import random_density, random_povm, random_rank1_povm
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -207,3 +207,34 @@ def test_choi_matrix_positive():
     jam = from_state(rho)
     evals, _ = jam.reconstruct().eigensystem()
     assert evals.min() >= -1e-10
+
+
+def test_branch_is_the_branch_the_average_scores(monkeypatch):
+    # JamiolkowskiMap.branch(E_k) against the branch factor
+    # average_root_entanglement hands the scorer for the same element
+    from itertools import product
+
+    from entloc import ProductPOVM, RootMeasure, average_root_entanglement, concurrence_measure
+
+    rng = np.random.default_rng(41)
+    dims = DimSpec.make(("A", 2, "A"), ("C", 2, "Z"), ("B", 2, "B"), ("D", 2, "Z"))
+    rho = random_density(dims, rng, rank=2)
+    povm = ProductPOVM(("C", "D"), tuple(product(random_povm(2, 2, rng),
+                                                 random_rank1_povm(2, 3, rng))))
+    scored = []
+    factor_branches = RootMeasure.factor_branches
+
+    def spy(self, factors, y_dims, cut):
+        scored.append((factors, y_dims))
+        return factor_branches(self, factors, y_dims, cut)
+
+    monkeypatch.setattr(RootMeasure, "factor_branches", spy)
+    result = average_root_entanglement(rho, povm, concurrence_measure())
+    (factors, y_dims), = scored
+    jam = from_state(rho, ("A", "B"), ("C", "D"))
+    for k, (p, _) in enumerate(result.branches):
+        p_jam, sigma = jam.branch(povm.element(k))
+        assert p_jam == pytest.approx(p, abs=1e-14)
+        assert sigma.dims == y_dims
+        np.testing.assert_allclose(sigma.matrix, factors[k] @ factors[k].conj().T / p,
+                                   atol=1e-14)

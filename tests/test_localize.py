@@ -21,7 +21,7 @@ from entloc import (
     schmidt_decompose,
     tensor_product,
 )
-from entloc.catalog import bell_state, ghz_state, w_state
+from entloc.catalog import bell_state, build_locked_state, ghz_state, w_state
 from entloc.localize import _FactorEvaluator, _povm_from_isometries
 from entloc.sampling import (
     lockstep_search,
@@ -615,6 +615,17 @@ class TestPolish:
         assert (payload["iterations"], payload["evaluations"], payload["winner"],
                 payload["converged"]) == (res.iterations, res.evaluations, res.winner,
                                           res.converged)
+
+    def test_converged_when_a_restart_at_the_best_value_stopped_on_its_test(self):
+        # criterion 2's locked state at seed 7: all 64 restarts end within
+        # 1e-12 of 1.9713346288184743; the winner, restart 30, stops on
+        # "line search", other restarts at that value on gtol or ftol
+        res = optimize_le(build_locked_state().to_density(), entropy_measure(),
+                          LEConfig(restarts=64, seed=7))
+        assert res.winner == 30
+        assert res.value == pytest.approx(1.9713346288184743, abs=1e-12)
+        assert np.ptp(res.restart_values) <= 1e-12
+        assert res.converged
 
 
 def test_ascent_transforms_only_the_moved_party(monkeypatch):

@@ -3,6 +3,7 @@ import pytest
 
 from entloc import (
     checks,
+    DensityOperator,
     DimSpec,
     DimensionError,
     Instrument,
@@ -11,12 +12,15 @@ from entloc import (
     ProtocolNode,
     apply_instrument,
     average_root_entanglement,
+    concurrence_measure,
     entropy_measure,
     evaluate_protocol,
     gconcurrence_measure,
     monotonicity_gap,
     locked_state_protocol,
+    partial_trace,
     tensor_product,
+    wootters_concurrence,
 )
 from entloc.catalog import (
     LockedStateSpec,
@@ -188,3 +192,48 @@ def test_instrument_on_later_party_matches_embedded_operator():
                   for big in (embed_operator(m, ("B",), dims) for m in kraus))
         assert q == pytest.approx(np.trace(ref).real, abs=1e-14)
         np.testing.assert_allclose(q * post.matrix, ref, atol=1e-14)
+
+
+class TestFactorPath:
+    """The one-sided map of the branch factor against the dense two-sided
+    Kraus sum, built with ``embed_operator`` and ``partial_trace``."""
+
+    # the helper comes first, the instrument acts on B, the second party, and
+    # B precedes A, so the leaf states' party order is not the cut order
+    DIMS = DimSpec.make(("C", 2, "Z"), ("B", 2, "B"), ("A", 2, "A"))
+
+    @staticmethod
+    def dense_outcome(mat, kraus, party, dims):
+        """sum_k M_k mat M_k^dag with each M_k embedded on ``party``."""
+        return sum(big @ mat @ big.conj().T
+                   for big in (embed_operator(m, (party,), dims) for m in kraus))
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_post_states_match_dense_reference(self, rank):
+        rng = np.random.default_rng(50 + rank)
+        rho = random_density(self.DIMS, rng, rank=rank)
+        inst = Instrument("B", random_instrument(2, 2, 2, rng))
+        for (q, post), kraus in zip(apply_instrument(rho, inst), inst.outcomes):
+            ref = self.dense_outcome(rho.matrix, kraus, "B", self.DIMS)
+            assert q == pytest.approx(np.trace(ref).real, abs=1e-14)
+            np.testing.assert_allclose(q * post.matrix, ref, atol=1e-14)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_depth_two_leaves_match_dense_reference(self, rank):
+        rng = np.random.default_rng(60 + rank)
+        rho = random_density(self.DIMS, rng, rank=rank)
+        inst = Instrument("B", random_instrument(2, 2, 2, rng))
+        helper = Instrument.projective("C", (P0, P1))
+        tree = ProtocolNode("B", inst, tuple(ProtocolNode("C", helper, (None, None))
+                                              for _ in inst.outcomes))
+        res = evaluate_protocol(rho, tree, concurrence_measure())
+        assert [path for _, _, path in res.leaves] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        for (p, value, (j, k)), sigma in zip(res.leaves, res.leaf_states):
+            after_b = self.dense_outcome(rho.matrix, inst.outcomes[j], "B", self.DIMS)
+            ref = self.dense_outcome(after_b, helper.outcomes[k], "C", self.DIMS)
+            assert p == pytest.approx(np.trace(ref).real, abs=1e-14)
+            ref_sigma = partial_trace(DensityOperator(ref / np.trace(ref).real, self.DIMS),
+                                      ("A", "B"))
+            assert sigma.dims.labels == ref_sigma.dims.labels == ("B", "A")
+            np.testing.assert_allclose(sigma.matrix, ref_sigma.matrix, atol=1e-14)
+            assert value == pytest.approx(wootters_concurrence(ref_sigma), abs=1e-12)
