@@ -4,19 +4,21 @@ Each check takes ``(trials, seed)`` and returns ``(worst, failures)``.
 ``worst`` maps each figure's name to its largest value over the trials (None
 with no trials). ``failures`` holds one ``"trial i: ..."`` line per trial
 that breaks a gate; the gates are the module constants below. ``entloc
-properties`` runs the checks by name, and acceptance criteria 7, 5, 8 and 3
-run them at their pinned seeds and trial counts.
+properties`` runs the checks by name, and acceptance criteria 7, 5, 8, 3, 4
+and 6 run them at their pinned seeds and trial counts.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .catalog import build_locked_state, phi_plus_vector
+from .catalog import build_locked_state, phi_plus_vector, werner_state
 from .jamiolkowski import from_state
 from .localize import LEConfig, ProductPOVM, average_root_entanglement
-from .measures import Instrument, concurrence_measure, gconcurrence_measure, gconcurrence_pure
+from .measures import (Instrument, concurrence_measure, gconcurrence_measure, gconcurrence_pure,
+                       wootters_concurrence)
 from .protocols import monotonicity_gap
+from .roof import RoofConfig, _descent, _eigen_factor
 from .sampling import (random_density, random_instrument, random_povm, random_pure,
                        random_rank1_povm, spawn_rngs)
 from .states import DensityOperator, DimSpec, NullBranchError, PureState, conditional_state
@@ -30,14 +32,17 @@ UNIT_VALUE_TOL = 1e-12       # |G(phi+_d) - 1|
 CONVEXITY_TOL = 1e-9         # average on the mixture minus the mixed averages
 F_SUM_TOL = 1e-10            # sum of an instrument's f-factors minus 1
 MONOTONICITY_TOL = 1e-6      # sum_j q_j LE(after outcome j) - LE(before)
+ROOF_TOL = 1e-5              # |roof descent - closed form| on two qubits
 
 _QUBITS = DimSpec.make(("A", 2, "A"), ("B", 2, "B"), ("C", 2, "Z"))
+_PAIR = DimSpec.make(("A", 2, "A"), ("B", 2, "B"))
+_WERNER_P = (0.0, 0.2, 1 / 3, 0.5, 0.8, 1.0)
 
 
 def _tally(figures: list[dict], gates: dict) -> tuple[dict, list[str]]:
     """Worst value of each figure over the trials, and one line per trial
     with a figure over its gate (NaN breaks the gate too)."""
-    worst = {name: max((f[name] for f in figures), default=None) for name in gates}
+    worst = {name: max((f[name] for f in figures if name in f), default=None) for name in gates}
     failures = []
     for i, trial in enumerate(figures):
         broken = [f"{name} {value:.2e} > {gates[name]:.0e}"
@@ -133,3 +138,36 @@ def gconcurrence_monotonicity(trials: int, seed: int):
                                                seed=int(rng.integers(2**31))))
         figures.append({"f_sum": sum(inst.f_factors()), "gap": gap})
     return _tally(figures, {"f_sum": 1.0 + F_SUM_TOL, "gap": MONOTONICITY_TOL})
+
+
+def kraus_bound(trials: int, seed: int):
+    """The f-factors of a random instrument on one party of dimension 2-4
+    (1-4 outcomes of 1-3 Kraus operators) sum to at most one."""
+    figures = []
+    for rng in spawn_rngs(seed, trials):
+        d = int(rng.integers(2, 5))
+        inst = Instrument("A", random_instrument(d, int(rng.integers(1, 5)),
+                                                 int(rng.integers(1, 4)), rng))
+        figures.append({"f_sum": sum(inst.f_factors())})
+    return _tally(figures, {"f_sum": 1.0 + F_SUM_TOL})
+
+
+def roof_descent(trials: int, seed: int):
+    """The convex-roof descent, which ``gconcurrence_mixed`` runs on d x d cuts
+    with d > 2, run here on two qubits, where the roof has a closed form: its
+    distance to the Wootters concurrence on random states of rank 2-4 drawn
+    from ``spawn_rngs(seed, trials)``, then to max(0, (3p - 1) / 2) on six
+    Werner states, one figure row each after the random ones. The descent
+    takes rank + 2 members and the default ``RoofConfig``."""
+
+    def descent(rho: DensityOperator) -> float:
+        w = _eigen_factor(rho)
+        return _descent(w, w.shape[1] + 2, rho.dims, RoofConfig())[0]
+
+    figures = []
+    for rng in spawn_rngs(seed, trials):
+        rho = random_density(_PAIR, rng, rank=int(rng.integers(2, 5)))
+        figures.append({"random": abs(descent(rho) - wootters_concurrence(rho))})
+    for p in _WERNER_P:
+        figures.append({"werner": abs(descent(werner_state(p)) - max(0.0, (3 * p - 1) / 2))})
+    return _tally(figures, {"random": ROOF_TOL, "werner": ROOF_TOL})

@@ -3,9 +3,10 @@
 Subcommands: ``measure`` (score a state file), ``le`` (run the localizable
 entanglement search), ``protocol`` (evaluate a protocol file), ``reproduce``
 (the locked-state comparison table), ``properties`` (one seeded check of
-``entloc.checks``: ``jamio``, ``gconc``, ``convexity`` or ``monotonicity``,
-the checks of acceptance criteria 7, 5, 8 and 3 at a chosen seed and trial
-count), ``emit`` (write catalog states to the JSON format).
+``entloc.checks``: ``jamio``, ``gconc``, ``convexity``, ``monotonicity``,
+``kraus`` or ``roof``, the checks of acceptance criteria 7, 5, 8, 3, 4 and 6
+at a chosen seed and trial count), ``emit`` (write catalog states to the JSON
+format).
 
 Exit codes: 0 ok, 1 property violation, 2 bad input (a parse error, a bad
 option value, ``ENTLOC_SEED`` or ``--out`` path, or the entropy root asked to
@@ -171,6 +172,8 @@ SUITES = {
     "gconc": checks.gconcurrence_algebra,
     "convexity": checks.povm_convexity,
     "monotonicity": checks.gconcurrence_monotonicity,
+    "kraus": checks.kraus_bound,
+    "roof": checks.roof_descent,
 }
 
 

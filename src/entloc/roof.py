@@ -1,10 +1,15 @@
 """Convex-roof extension of the geometric-mean concurrence to mixed states.
 
-The roof value min sum_i p_i G(psi_i) over decompositions rho = sum_i p_i
-|psi_i><psi_i| is searched through the standard isometry parameterization:
-with rho = W W^dag (W = V sqrt(e) from the eigendecomposition, r columns),
-every size-m ensemble arises as |psi~_i> = sum_r U_ir w_r for an m x r
-isometry U. Because G is homogeneous of degree one in the density operator,
+The roof value is min sum_i p_i G(psi_i) over decompositions rho = sum_i p_i
+|psi_i><psi_i|. It is exact where a closed form exists: 0 on an unequal cut
+(the zero padding), G of the state on a pure state, and on a 2 x 2 cut, where
+G is the concurrence, Wootters' value with his optimal decomposition
+(``_wootters_ensemble``). Elsewhere (a mixed d x d state, d > 2) it is an
+upper bound from a descent.
+
+The descent searches the standard isometry parameterization: with rho =
+W W^dag (W = V sqrt(e) from the eigendecomposition, r columns), every size-m
+ensemble arises as |psi~_i> = sum_r U_ir w_r for an m x r isometry U. Because G is homogeneous of degree one in the density operator,
 the objective is simply sum_i G(|psi~_i>) on the unnormalized vectors, which
 keeps the search landscape smooth. On a d x d cut G(|psi~>) = d |det C|^(2/d)
 for the d x d coefficient matrix C of |psi~>, so the m members are scored as
@@ -24,17 +29,18 @@ QR to x. ``sampling.lockstep_lbfgs`` polishes every restart at the first eps
 in lockstep, one batched QR and one batched determinant per round; the three
 lowest go on through the smaller eps values, each stage starting where the
 last ended. Every restart is scored by the exact f at its final point and the
-lowest wins, so returned values carry UPPER-bound semantics: the true roof can
-only be lower.
+lowest wins, so the descent's values carry UPPER-bound semantics: the true
+roof can only be lower.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import _cut_or_default
+from .measures import _cut_or_default, _takagi_stack
 from .sampling import (flatten_complex, lockstep_lbfgs, phase_fixed_qr, phase_fixed_qr_backward,
                        seeded_starts, unflatten_complex)
 from .states import DensityOperator, DimSpec, PureState
@@ -46,11 +52,19 @@ _POLISH_FTOL, _POLISH_GTOL = 2.220446049250313e-09, 1e-5
 # restart runs the first stage, the _CONTINUED lowest run the others
 _EPS_SCHEDULE = (1e-2, 1e-4, 1e-6, 1e-8)
 _CONTINUED = 3
+# the real 4 x 4 Hadamard over 2: it mixes Wootters' four phased columns
+# into members of equal concurrence
+_HADAMARD = 0.5 * np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
 
 
 @dataclass(frozen=True)
 class RoofConfig:
-    """Knobs of the convex-roof search; ensemble_size=None means rank + 2."""
+    """Knobs of the convex-roof descent; ensemble_size=None means rank + 2.
+
+    The three fields apply only to the descent, which runs on mixed d x d
+    states with d > 2; the closed forms read none of them (an ensemble_size
+    below the state's rank is rejected everywhere).
+    """
 
     ensemble_size: int | None = None
     restarts: int = 32
@@ -68,10 +82,12 @@ class DecompositionEnsemble:
     """Weighted pure-state decomposition of a density operator.
 
     ``restart_values`` holds the exact value at each restart's final point
-    (empty where no search ran) and ``restart_evaluations`` its objective
-    evaluations, summed over its polish stages. ``winner`` is the restart
-    with the lowest value, the one returned; ``converged`` says whether its
-    last polish stage converged.
+    and ``restart_evaluations`` its objective evaluations, summed over its
+    polish stages. ``winner`` is the restart with the lowest value, the one
+    returned; ``converged`` says whether its last polish stage converged. On
+    every closed form (unequal cut, pure state, 2 x 2 cut) no descent runs:
+    ``restart_values`` and ``restart_evaluations`` are empty, ``winner`` is
+    None and ``converged`` is True.
     """
 
     weights: np.ndarray
@@ -126,48 +142,84 @@ def _objective_and_gradient(x: np.ndarray, w: np.ndarray, d: int, eps: float):
     return value, phase_fixed_qr_backward(q, r, g_q)
 
 
-def gconcurrence_mixed(rho: DensityOperator, cut=None, config: RoofConfig | None = None):
-    """Convex-roof geometric-mean concurrence of a mixed bipartite state.
-
-    Returns ``(value, DecompositionEnsemble)``; the ensemble reproduces rho
-    and realizes the returned (upper-bound) value.
-    """
-    if config is None:
-        config = RoofConfig()
-    left, right = _cut_or_default(rho.dims, cut)
-    perm = left + right
-    order = [rho.dims.labels.index(lab) for lab in perm]
-    if order != sorted(order):
-        from .states import permute_parties
-
-        rho = permute_parties(rho, perm)
-    dl = rho.dims.dim_of_labels(left)
-    dr = rho.dims.dim_of_labels(right)
-    d = max(dl, dr)
-
-    if dl != dr:
-        # zero padding annihilates every pure-state value, so the roof is 0
-        evals, evecs = rho.eigensystem()
-        mask = evals > 1e-12
-        states = tuple(PureState(evecs[:, i], rho.dims) for i in np.flatnonzero(mask))
-        ens = DecompositionEnsemble(evals[mask], states, 0.0, True)
-        return 0.0, ens
-
+def _eigen_factor(rho: DensityOperator) -> np.ndarray:
+    """(d, r) factor w of rho = w w^dag: the eigenvectors of the eigenvalues
+    above 1e-12 scaled by their square roots."""
     evals, evecs = rho.eigensystem()
-    mask = evals > 1e-12
-    r = int(np.count_nonzero(mask))
-    w = evecs[:, mask] * np.sqrt(evals[mask])  # rho = w w^dag
-    m = r + 2 if config.ensemble_size is None else config.ensemble_size
-    if m < r:
-        raise ValueError(f"ensemble size {m} below state rank {r}")
+    live = evals > 1e-12
+    return evecs[:, live] * np.sqrt(evals[live])
 
-    if r == 1:
-        psi = PureState(w[:, 0] / np.linalg.norm(w[:, 0]), rho.dims)
-        from .measures import gconcurrence_pure
 
-        val = gconcurrence_pure(psi, (left, right))
-        ens = DecompositionEnsemble(np.array([1.0]), (psi,), val, True)
-        return val, ens
+def _members(cols: np.ndarray, dims: DimSpec) -> tuple[np.ndarray, tuple[PureState, ...]]:
+    """Weights and unit states of an ensemble given as unnormalized columns,
+    members of weight below 1e-14 dropped."""
+    weights = np.linalg.norm(cols, axis=0) ** 2
+    keep = np.flatnonzero(weights > 1e-14)
+    return weights[keep], tuple(PureState(cols[:, i] / np.sqrt(weights[i]), dims) for i in keep)
+
+
+def _turn(a: float, b: float, c: float) -> complex:
+    """Unit u with |a + b u| = c and Im u >= 0, for the sides of a (possibly
+    flat) triangle; 1 where a or b is 0.
+
+    cos = (c^2 - a^2 - b^2) / 2ab and sin from Kahan's stable area formula,
+    so near-collinear sides keep their digits (acos would lose half).
+    """
+    if a * b == 0.0:
+        return 1.0 + 0.0j
+    x, y, z = sorted((a, b, c), reverse=True)
+    area4 = np.sqrt(max(0.0, (x + (y + z)) * (z - (x - y)) * (z + (x - y)) * (x + (y - z))))
+    u = complex(c * c - a * a - b * b, area4)
+    return u / abs(u)
+
+
+def _closing_phases(lam: np.ndarray) -> np.ndarray:
+    """Unit numbers u with sum_j lam_j u_j = 0, for four decreasing lam >= 0
+    with lam_1 <= lam_2 + lam_3 + lam_4: two triangles on a diagonal of
+    length max(lam_1 - lam_2, lam_3 - lam_4), which both admit."""
+    l1, l2, l3, l4 = (float(v) for v in lam)
+    u2 = _turn(l1, l2, max(l1 - l2, l3 - l4))
+    head = l1 + l2 * u2
+    u4 = _turn(l3, l4, abs(head))
+    tail = l3 + l4 * u4
+    # turn the second pair onto -head
+    rot = -head * tail.conjugate() / (abs(head) * abs(tail)) if head and tail else 1.0
+    return np.array([1.0, u2, rot, rot * u4])
+
+
+def _wootters_ensemble(w: np.ndarray, dims: DimSpec):
+    """Wootters' optimal decomposition of a two-qubit rho = w w^dag (parties in
+    cut order, up to four columns) and its concurrence, the exact roof.
+
+    The Takagi vectors of tau = w^T (sy x sy) w (Wootters, PRL 80, 2245
+    (1998)) give columns y = w V with y^T (sy x sy) y = diag(lam), lam
+    decreasing. They are the eigenvectors [Re q; Im q] of the real symmetric
+    [[Re tau, Im tau], [Im tau, -Re tau]] (spectrum +-lam) for its four largest
+    eigenvalues, made unitary by a phase-fixed QR, which also completes them
+    where lam is 0. C = lam_1 - lam_2 - lam_3 - lam_4 > 0: phases (1, i, i, i);
+    else phases sqrt(u_j) with sum_j lam_j u_j = 0. Mixing the phased columns
+    by the real 4 x 4 Hadamard over 2 gives members z_i with z_i^T (sy x sy) z_i
+    = max(0, C) / 4 each and sum_i z_i z_i^dag = rho.
+    """
+    w = np.pad(w, ((0, 0), (0, 4 - w.shape[1])))
+    tau = _takagi_stack(w)
+    s, vecs = np.linalg.eigh(np.block([[tau.real, tau.imag], [tau.imag, -tau.real]]))
+    lam = np.clip(s[:3:-1], 0.0, None)
+    top = vecs[:, :3:-1]
+    y = w @ phase_fixed_qr(top[:4] + 1j * top[4:])[0].conj()
+    conc = float(lam[0] - np.sum(lam[1:]))
+    if conc > 0.0:
+        phases = np.array([1.0, 1j, 1j, 1j])
+    else:
+        conc, phases = 0.0, np.sqrt(_closing_phases(lam))
+    return conc, DecompositionEnsemble(*_members((y * phases) @ _HADAMARD, dims), conc, True)
+
+
+def _descent(w: np.ndarray, m: int, dims: DimSpec, config: RoofConfig):
+    """The eps-staged multistart descent over m-member ensembles of rho = w w^dag
+    (parties in cut order, a d x d cut): the lowest restart's value, an upper
+    bound to the roof, and its ensemble."""
+    d, r = math.isqrt(w.shape[0]), w.shape[1]
 
     def fun_and_grad(flat: np.ndarray, eps: float):
         values, g_x = _objective_and_gradient(unflatten_complex(flat, [(m, r)])[0], w, d, eps)
@@ -190,15 +242,51 @@ def gconcurrence_mixed(rho: DensityOperator, cut=None, config: RoofConfig | None
     winner = int(np.argmin(vals))
     best_val, converged, best_x = float(vals[winner]), bool(success[winner]), xs[winner]
 
-    cols = w @ phase_fixed_qr(best_x)[0].T
-    weights = np.linalg.norm(cols, axis=0) ** 2
-    keep = weights > 1e-14
-    states = tuple(
-        PureState(cols[:, i] / np.sqrt(weights[i]), rho.dims)
-        for i in range(cols.shape[1])
-        if keep[i]
-    )
-    ens = DecompositionEnsemble(weights[keep], states, best_val, converged,
+    ens = DecompositionEnsemble(*_members(w @ phase_fixed_qr(best_x)[0].T, dims),
+                                best_val, converged,
                                 tuple(float(v) for v in vals),
                                 tuple(int(n) for n in evaluations), winner)
     return best_val, ens
+
+
+def gconcurrence_mixed(rho: DensityOperator, cut=None, config: RoofConfig | None = None):
+    """Convex-roof geometric-mean concurrence of a mixed bipartite state.
+
+    Returns ``(value, DecompositionEnsemble)``; the ensemble reproduces rho
+    and realizes the returned value: exact on an unequal cut (0), on a pure
+    state and on a 2 x 2 cut (Wootters), an upper bound from the descent
+    elsewhere.
+    """
+    if config is None:
+        config = RoofConfig()
+    left, right = _cut_or_default(rho.dims, cut)
+    perm = left + right
+    order = [rho.dims.labels.index(lab) for lab in perm]
+    if order != sorted(order):
+        from .states import permute_parties
+
+        rho = permute_parties(rho, perm)
+    dl = rho.dims.dim_of_labels(left)
+    dr = rho.dims.dim_of_labels(right)
+
+    w = _eigen_factor(rho)
+    r = w.shape[1]
+    m = r + 2 if config.ensemble_size is None else config.ensemble_size
+    if m < r:
+        raise ValueError(f"ensemble size {m} below state rank {r}")
+
+    if dl != dr:
+        # zero padding annihilates every pure-state value, so the roof is 0
+        return 0.0, DecompositionEnsemble(*_members(w, rho.dims), 0.0, True)
+
+    if r == 1:
+        psi = PureState(w[:, 0] / np.linalg.norm(w[:, 0]), rho.dims)
+        from .measures import gconcurrence_pure
+
+        val = gconcurrence_pure(psi, (left, right))
+        ens = DecompositionEnsemble(np.array([1.0]), (psi,), val, True)
+        return val, ens
+
+    if dl == 2:
+        return _wootters_ensemble(w, rho.dims)
+    return _descent(w, m, rho.dims, config)

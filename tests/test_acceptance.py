@@ -2,19 +2,18 @@
 
 Each test checks one headline claim of the library at a pinned tolerance and
 prints a single PASS/FAIL line (run with ``pytest -s tests/test_acceptance.py``
-to see them), at full published settings, budgets included. Criteria 3, 5, 7
-and 8 run the seeded checks of ``entloc.checks`` (the ones ``entloc
-properties`` runs) at their pinned seed and trial count.
+to see them), at full published settings, budgets included. Criteria 3 to 8
+run the seeded checks of ``entloc.checks`` (the ones ``entloc properties``
+runs) at their pinned seed and trial count.
 """
 
 import time
 
 import numpy as np
 
-from entloc import (DimSpec, Instrument, LEConfig, checks, entropy_measure, evaluate_protocol,
-                    gconcurrence_mixed, locked_state_protocol, optimize_le, wootters_concurrence)
-from entloc.catalog import LockedStateSpec, build_locked_state, phi_plus_vector, werner_state
-from entloc.sampling import random_density, random_instrument, spawn_rngs
+from entloc import (LEConfig, checks, entropy_measure, evaluate_protocol, locked_state_protocol,
+                    optimize_le)
+from entloc.catalog import LockedStateSpec, build_locked_state, phi_plus_vector
 
 LOCKED = build_locked_state().to_density()
 
@@ -65,15 +64,9 @@ def test_criterion_3_monotone_root():
 
 
 def test_criterion_4_kraus_bound():
-    worst = -np.inf
-    for rng in spawn_rngs(41, 1000):
-        d = int(rng.integers(2, 5))
-        kraus_sets = random_instrument(d, int(rng.integers(1, 5)),
-                                       int(rng.integers(1, 4)), rng)
-        inst = Instrument("A", tuple(tuple(ms) for ms in kraus_sets))
-        worst = max(worst, sum(inst.f_factors()))
-    ok = worst <= 1 + 1e-10
-    _report(4, ok, f"max sum of f-factors over 1000 instruments = {worst:.12f}")
+    worst, failures = checks.kraus_bound(1000, 41)
+    _report(4, not failures, f"max sum of f-factors over 1000 instruments = "
+                             f"{worst['f_sum']:.12f}")
 
 
 def test_criterion_5_gconcurrence_algebra():
@@ -84,19 +77,9 @@ def test_criterion_5_gconcurrence_algebra():
 
 
 def test_criterion_6_roof_vs_closed_form():
-    dims = DimSpec.make(("A", 2, "A"), ("B", 2, "B"))
-    worst = 0.0
-    for rng in spawn_rngs(61, 50):
-        rho = random_density(dims, rng, rank=int(rng.integers(2, 5)))
-        roof, _ = gconcurrence_mixed(rho)
-        worst = max(worst, abs(roof - wootters_concurrence(rho)))
-    worst_w = 0.0
-    for p in (0.0, 0.2, 1 / 3, 0.5, 0.8, 1.0):
-        roof, _ = gconcurrence_mixed(werner_state(p))
-        worst_w = max(worst_w, abs(roof - max(0.0, (3 * p - 1) / 2)))
-    ok = worst <= 1e-5 and worst_w <= 1e-5
-    _report(6, ok, f"max |roof - closed form| = {worst:.1e} (random), "
-                   f"{worst_w:.1e} (Werner)")
+    worst, failures = checks.roof_descent(50, 61)
+    _report(6, not failures, f"max |roof - closed form| = {worst['random']:.1e} (random), "
+                             f"{worst['werner']:.1e} (Werner)")
 
 
 def test_criterion_7_channel_state_duality():

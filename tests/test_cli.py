@@ -282,8 +282,9 @@ class TestCli:
 
     def test_properties_suite_passes(self, capsys):
         for suite, trials in (("jamio", 10), ("gconc", 10), ("convexity", 5),
-                              ("monotonicity", 2), ("jamio", 0), ("gconc", 0),
-                              ("convexity", 0), ("monotonicity", 0)):
+                              ("monotonicity", 2), ("kraus", 10), ("roof", 2), ("jamio", 0),
+                              ("gconc", 0), ("convexity", 0), ("monotonicity", 0),
+                              ("kraus", 0), ("roof", 0)):
             assert main(["properties", "--suite", suite, "--trials", str(trials),
                          "--seed", "0"]) == 0
             # strict JSON: no -Infinity or NaN, also with no trials

@@ -10,13 +10,29 @@ from entloc import (
     wootters_concurrence,
 )
 from entloc.catalog import werner_state
-from entloc.roof import (_EPS_SCHEDULE, _POLISH_FTOL, _POLISH_GTOL, _ensemble_stack, _objective,
-                         _objective_and_gradient)
-from entloc.sampling import (lockstep_lbfgs, lockstep_search, random_density, random_pure,
-                             spawn_rngs)
+from entloc.roof import (_EPS_SCHEDULE, _POLISH_FTOL, _POLISH_GTOL, _descent, _ensemble_stack,
+                         _objective, _objective_and_gradient)
+from entloc.sampling import (lockstep_lbfgs, lockstep_search, phase_fixed_qr, random_density,
+                             random_pure, spawn_rngs)
 
 PAIR = DimSpec.make(("A", 2, "A"), ("B", 2, "B"))
 FAST = RoofConfig(restarts=8, seed=0)
+
+
+def _ensemble_factor(rho):
+    evals, evecs = rho.eigensystem()
+    mask = evals > 1e-12
+    return evecs[:, mask] * np.sqrt(evals[mask])
+
+
+def _descend(rho, config=RoofConfig()):
+    """The roof descent on a d x d state: ``gconcurrence_mixed`` where d > 2;
+    on 2 x 2, where that takes the closed form, the descent itself with rank + 2
+    members, so that the closed form can check it."""
+    if rho.dims.local_dims[0] > 2:
+        return gconcurrence_mixed(rho, config=config)
+    w = _ensemble_factor(rho)
+    return _descent(w, w.shape[1] + 2, rho.dims, config)
 
 
 def test_pure_state_shortcut():
@@ -31,14 +47,14 @@ def test_product_mixture_separable():
     vecs = [np.kron([1, 0], [1, 0]), np.kron([0, 1], [1 / np.sqrt(2), 1 / np.sqrt(2)])]
     mat = 0.6 * np.outer(vecs[0], np.conj(vecs[0])) + 0.4 * np.outer(vecs[1], np.conj(vecs[1]))
     rho = DensityOperator(mat.astype(complex), PAIR)
-    value, _ = gconcurrence_mixed(rho, config=FAST)
+    value, _ = _descend(rho, FAST)
     assert value == pytest.approx(0.0, abs=1e-8)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_rank2_matches_wootters(seed):
     rho = random_density(PAIR, np.random.default_rng(seed), rank=2)
-    value, ens = gconcurrence_mixed(rho, config=RoofConfig(restarts=8, seed=seed))
+    value, ens = _descend(rho, RoofConfig(restarts=8, seed=seed))
     assert value == pytest.approx(wootters_concurrence(rho), abs=2e-3)
     # upper-bound semantics with a little closed-form eigen-noise slack
     assert value >= wootters_concurrence(rho) - 1e-6
@@ -46,13 +62,13 @@ def test_rank2_matches_wootters(seed):
 
 @pytest.mark.parametrize("p", [0.0, 0.5, 0.8, 1.0])
 def test_werner_family(p):
-    value, _ = gconcurrence_mixed(werner_state(p), config=RoofConfig(restarts=8, seed=3))
+    value, _ = _descend(werner_state(p), RoofConfig(restarts=8, seed=3))
     assert value == pytest.approx(max(0.0, (3 * p - 1) / 2), abs=2e-3)
 
 
 def test_ensemble_reconstructs_state():
     rho = random_density(PAIR, np.random.default_rng(42), rank=3)
-    value, ens = gconcurrence_mixed(rho, config=FAST)
+    value, ens = _descend(rho, FAST)
     np.testing.assert_allclose(
         ens.reconstruct(rho.dims).matrix, rho.matrix, atol=1e-10
     )
@@ -60,6 +76,72 @@ def test_ensemble_reconstructs_state():
         p * gconcurrence_pure(s) for p, s in zip(ens.weights, ens.states)
     )
     assert value == pytest.approx(recomputed, abs=1e-9)
+
+
+def _bell_diagonal(c):
+    bells = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / np.sqrt(2)
+    return DensityOperator(((bells.T * c) @ bells).astype(complex), PAIR)
+
+
+def _closed_form_cases():
+    rng = np.random.default_rng(1998)
+    cases = {f"rank {r}": random_density(PAIR, rng, rank=r) for r in range(1, 5)}
+    # p = 1/3 puts lambda_1 = lambda_2 + lambda_3 + lambda_4; just below it the
+    # C = 0 polygon is nearly flat
+    cases.update({f"Werner {p!r}": werner_state(p)
+                  for p in (0.0, 0.2, 1 / 3 - 1e-14, 1 / 3, 0.5, 0.8, 1.0)})
+    # Bell-diagonal: the lambdas are the weights, degenerate here
+    for c in ([0.7, 0.1, 0.1, 0.1], [0.4, 0.4, 0.2, 0.0], [0.5, 0.5, 0.0, 0.0],
+              rng.dirichlet(np.ones(4))):
+        cases[f"Bell-diagonal {np.round(c, 3)}"] = _bell_diagonal(np.asarray(c))
+    mat = np.zeros((4, 4), dtype=complex)
+    for p in rng.dirichlet(np.ones(3)):
+        a, b = (rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(2))
+        v = np.kron(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
+        mat += p * np.outer(v, v.conj())
+    cases["separable rank 3"] = DensityOperator(mat, PAIR)
+    # |a><a| x sigma: tau = 0 to rounding on a rank-2 state, so the eigenproblem
+    # returns its null vectors in any mixture and the QR must make them unitary
+    a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    sigma = random_density(DimSpec.make(("B", 2, "B")), rng, rank=2).matrix
+    cases["product rank 2"] = DensityOperator(np.kron(np.outer(a, a.conj()) / np.vdot(a, a), sigma),
+                                              PAIR)
+    cases["I/4"] = DensityOperator(np.eye(4, dtype=complex) / 4, PAIR)
+    for tiny in (1e-9, 1e-11):
+        evals = np.append(rng.dirichlet(np.ones(3)) * (1 - tiny), tiny)
+        u = phase_fixed_qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+        cases[f"eigenvalue {tiny:g}"] = DensityOperator((u * evals) @ u.conj().T, PAIR)
+    return cases
+
+
+CLOSED_FORM_CASES = _closed_form_cases()
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["as drawn", "locally rotated"])
+@pytest.mark.parametrize("name", list(CLOSED_FORM_CASES))
+def test_two_qubit_roof_is_wootters_decomposition(name, rotated):
+    rho = CLOSED_FORM_CASES[name]
+    if rotated:
+        rng = np.random.default_rng(2245)
+        a, b = (phase_fixed_qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+                for _ in range(2))
+        local = np.kron(a, b)
+        rho = DensityOperator(local @ rho.matrix @ local.conj().T, PAIR)
+    value, ens = gconcurrence_mixed(rho)
+    np.testing.assert_allclose(ens.reconstruct(PAIR).matrix, rho.matrix, atol=1e-12, rtol=0)
+    average = sum(p * gconcurrence_pure(s) for p, s in zip(ens.weights, ens.states))
+    assert average == pytest.approx(value, abs=1e-12)
+    assert value == pytest.approx(wootters_concurrence(rho), abs=1e-12)
+    assert len(ens.states) <= 4
+    assert ens.value == value and ens.converged
+    assert ens.restart_values == () and ens.winner is None
+    # the closed form reads no RoofConfig field
+    other_value, other = gconcurrence_mixed(rho, config=RoofConfig(ensemble_size=7, restarts=3,
+                                                                   seed=5))
+    assert other_value == value
+    np.testing.assert_array_equal(other.weights, ens.weights)
+    for s1, s2 in zip(ens.states, other.states, strict=True):
+        np.testing.assert_array_equal(s1.amplitudes, s2.amplitudes)
 
 
 def test_unequal_cut_is_zero():
@@ -78,8 +160,8 @@ def test_ensemble_size_below_rank_rejected():
 
 def test_seed_determinism():
     rho = random_density(PAIR, np.random.default_rng(10), rank=2)
-    v1, _ = gconcurrence_mixed(rho, config=FAST)
-    v2, _ = gconcurrence_mixed(rho, config=FAST)
+    v1, _ = _descend(rho, FAST)
+    v2, _ = _descend(rho, FAST)
     assert v1 == v2
 
 
@@ -87,15 +169,9 @@ def test_seed_determinism():
 def test_converged_flag_follows_returned_point(seed):
     # the winner's last polish stage converges on these rank-3 states
     rho = random_density(PAIR, np.random.default_rng(seed), rank=3)
-    value, ens = gconcurrence_mixed(rho)
+    value, ens = _descend(rho)
     assert value == pytest.approx(wootters_concurrence(rho), abs=1e-7)
     assert ens.converged
-
-
-def _ensemble_factor(rho):
-    evals, evecs = rho.eigensystem()
-    mask = evals > 1e-12
-    return evecs[:, mask] * np.sqrt(evals[mask])
 
 
 @pytest.mark.parametrize("d,rank", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
@@ -187,7 +263,7 @@ def test_every_restart_polished_best_three_continued(d, rank):
     spec = DimSpec.make(("A", d, "A"), ("B", d, "B"))
     rho = random_density(spec, np.random.default_rng(21), rank=rank)
     config = RoofConfig(restarts=5, seed=2)
-    value, ens = gconcurrence_mixed(rho, config=config)
+    value, ens = _descend(rho, config)
     # the first stage, rerun: every restart from its Gaussian start at the largest eps
     w, m = _ensemble_factor(rho), rank + 2
 
@@ -226,8 +302,9 @@ def test_restart_does_not_depend_on_the_others(d, rank):
     # three restarts, every one goes through every stage)
     spec = DimSpec.make(("A", d, "A"), ("B", d, "B"))
     rho = random_density(spec, np.random.default_rng(30 + d), rank=rank)
-    three = gconcurrence_mixed(rho, config=RoofConfig(restarts=3, seed=7))[1]
-    two = gconcurrence_mixed(rho, config=RoofConfig(restarts=2, seed=7))[1]
+    three = _descend(rho, RoofConfig(restarts=3, seed=7))[1]
+    two = _descend(rho, RoofConfig(restarts=2, seed=7))[1]
+    assert len(three.restart_values) == 3
     assert two.restart_values == three.restart_values[:2]
     assert two.restart_evaluations == three.restart_evaluations[:2]
 
@@ -255,7 +332,7 @@ def test_values_pinned_bit_for_bit(d, rank, seed, value_hex):
     # polish; any change to either moves these values
     spec = DimSpec.make(("A", d, "A"), ("B", d, "B"))
     rho = random_density(spec, np.random.default_rng(seed), rank=rank)
-    value, ens = gconcurrence_mixed(rho, config=RoofConfig(restarts=4, seed=seed))
+    value, ens = _descend(rho, RoofConfig(restarts=4, seed=seed))
     assert value == float.fromhex(value_hex)
     assert ens.converged
 
