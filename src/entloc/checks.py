@@ -13,19 +13,19 @@ from __future__ import annotations
 import numpy as np
 
 from .catalog import build_locked_state, phi_plus_vector, werner_state
-from .jamiolkowski import from_state
+from .jamiolkowski import eigen_factor, from_state
 from .localize import LEConfig, ProductPOVM, average_root_entanglement
 from .measures import (Instrument, concurrence_measure, gconcurrence_measure, gconcurrence_pure,
                        wootters_concurrence)
 from .protocols import monotonicity_gap
-from .roof import RoofConfig, _descent, _eigen_factor
+from .roof import RoofConfig, _descent
 from .sampling import (random_density, random_instrument, random_povm, random_pure,
                        random_rank1_povm, spawn_rngs)
 from .states import DensityOperator, DimSpec, NullBranchError, PureState, conditional_state
 
 ROUND_TRIP_TOL = 1e-12       # max |reconstruct(from_state(rho)) - rho|
 BRANCH_TOL = 1e-10           # Jamiolkowski branch vs conditional_state, p and state
-NULL_BRANCH_TOL = 1e-6       # duality skips branches less likely than this
+RARE_BRANCH_TOL = 1e-6       # duality skips branches less likely than this
 HOMOGENEITY_TOL = 1e-12      # |G(c psi) - c^2 G(psi)|
 MULTIPLICATIVITY_TOL = 1e-10  # |G((A x B) psi) - |det A det B|^(2/d) G(psi)|, relative
 UNIT_VALUE_TOL = 1e-12       # |G(phi+_d) - 1|
@@ -70,7 +70,7 @@ def duality(trials: int, seed: int):
         branch = 0.0
         for q in random_rank1_povm(jam.d_z, jam.d_z + 1, rng):
             try:
-                p_direct, sig_direct = conditional_state(rho, q, null_tol=NULL_BRANCH_TOL)
+                p_direct, sig_direct = conditional_state(rho, q, null_tol=RARE_BRANCH_TOL)
             except NullBranchError:
                 continue
             p_jam, sig_jam = jam.branch(q)
@@ -161,7 +161,7 @@ def roof_descent(trials: int, seed: int):
     takes rank + 2 members and the default ``RoofConfig``."""
 
     def descent(rho: DensityOperator) -> float:
-        w = _eigen_factor(rho)
+        w = eigen_factor(rho)
         return _descent(w, w.shape[1] + 2, rho.dims, RoofConfig())[0]
 
     figures = []

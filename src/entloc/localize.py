@@ -4,16 +4,15 @@ helper (Z-role) parties can steer onto the A-B pair with a product POVM.
 ``optimize_le`` searches rank-one product POVMs, each party's outcomes being
 the rows of an isometry Q from the phase-fixed QR of a Gaussian pre-image x,
 from seeded restarts run in lockstep. The input picks the one descent every
-restart runs. Where the root has a closed-form derivative
-(``_FactorEvaluator.exact_gradient``) it is ``sampling.lockstep_lbfgs``, the
-convex roof's descent too, on the exact gradient of the branch average (the
-pattern of Audenaert, Verstraete and De Moor, PRA 64, 052304 (2001)): one
-batched SVD of the branch coefficient matrices on a pure state, the Takagi
-matrices of the branch factors for concurrence and G on a mixed 2 x 2 cut;
-the gradient is carried back through the row-wise Kronecker product of the
-outcome vectors and the QR to x, for every restart in one pass. The
-remaining cases (G on a larger mixed cut, entropy on a mixed state) run the
-random-step search ``sampling.lockstep_search`` alone.
+restart runs. Where the branches have a closed-form kernel
+(``RootMeasure.kernel``: the Schmidt kernel on a pure state, the Takagi
+kernel for concurrence and G on a mixed 2 x 2 cut) it is
+``sampling.lockstep_lbfgs``, the convex roof's descent too, on the kernel's
+exact gradient of the branch average (the pattern of Audenaert, Verstraete
+and De Moor, PRA 64, 052304 (2001)), carried back through the row-wise
+Kronecker product of the outcome vectors and the QR to x, for every restart
+in one pass. The remaining cases (G on a larger mixed cut, entropy on a
+mixed state) run the random-step search ``sampling.lockstep_search`` alone.
 Every branch comes from the state's Jamiolkowski map (``jamiolkowski``), and
 ``average_root_entanglement`` scores a fixed POVM on the same contraction, so
 the value ``optimize_le`` reports is the value its search reached. Values
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jamiolkowski import from_state
-from .measures import _YY, NULL_BRANCH_TOL, RootMeasure, _takagi_stack, spectrum_value
+from .measures import RootMeasure
 from .sampling import (flatten_complex, lockstep_lbfgs, lockstep_search, phase_fixed_qr,
                        phase_fixed_qr_backward, seeded_starts, unflatten_complex)
 from .states import DensityOperator, DimensionError
@@ -100,7 +99,7 @@ class LEResult:
 
     ``value`` is the achieved average; for the optimizer it is a lower bound
     to the true localizable entanglement. ``bound`` says so ("lower") unless
-    a live branch took a convex-roof solve (``RootMeasure.needs_roof``),
+    a live branch took a convex-roof solve (``RootMeasure.factor_branches``),
     whose value is an upper bound: the average is then an "estimate".
     ``converged`` is True when a restart within 1e-12 (relative) of the
     winning value stopped on its test (L-BFGS: gtol or ftol; the search: its
@@ -167,8 +166,8 @@ def average_root_entanglement(rho: DensityOperator, povm: ProductPOVM,
     (``JamiolkowskiMap.povm_branch_factors``), the contraction the evaluator
     of ``optimize_le`` runs, and are scored in one batched call, as the
     optimizer scores them. Null branches (probability below 1e-14)
-    contribute zero. The result's ``bound`` is "estimate" when a live branch
-    ``needs_roof`` on its spectrum, "lower" otherwise.
+    contribute zero. The result's ``bound`` is "estimate" when the scorer
+    reports a live branch roofed, "lower" otherwise.
     """
     if tuple(povm.z_labels) != tuple(rho.dims.z_labels):
         raise DimensionError(
@@ -177,9 +176,7 @@ def average_root_entanglement(rho: DensityOperator, povm: ProductPOVM,
     evaluator = _FactorEvaluator(rho, measure)
     factors = evaluator.jam.povm_branch_factors(
         np.stack([povm.element(k) for k in range(povm.n_outcomes)]))
-    p, values = measure.factor_branches(factors, evaluator.y_dims, evaluator.cut)
-    roofed = (p > 0) & measure.needs_roof(evaluator.y_dims, evaluator.cut,
-                                          np.linalg.svd(factors, compute_uv=False) ** 2)
+    p, values, roofed = measure.factor_branches(factors, evaluator.y_dims, evaluator.cut)
     branches = tuple((float(pk), float(vk)) for pk, vk in zip(p, values))
     return LEResult(float(np.dot(p, values)), povm, branches,
                     bound="estimate" if roofed.any() else "lower")
@@ -233,53 +230,6 @@ def _povm_from_isometries(z_labels, isos) -> ProductPOVM:
     return ProductPOVM(tuple(z_labels), tuple(factors))
 
 
-def _pure_branch_gradient(kind: str, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """p_k v_k of each of a (K, d_A, d_B) stack of unnormalized pure branches
-    (0 for a null branch) and its gradient in the branch, U diag(df/ds) V^H
-    from one batched SVD.
-
-    With lambda = s^2 and p = sum lambda: entropy -2 s log2(lambda / p);
-    G (and the concurrence, its 2 x 2 case) on a square cut 2 a / s with
-    a = (prod lambda)^(1/d) and f = d a; zero on an unequal cut.
-    """
-    u, s, vh = np.linalg.svd(mats, full_matrices=False)
-    lam = s * s
-    p = np.sum(lam, axis=-1)
-    live = p >= NULL_BRANCH_TOL
-    d = max(mats.shape[1:])
-    if kind == "entropy":
-        ratio = lam / np.where(live, p, 1.0)[:, None]
-        values = p * spectrum_value(kind, ratio, d)
-        dfds = -2.0 * s * np.log2(np.where(ratio > 1e-15, ratio, 1.0))
-    elif mats.shape[1] == mats.shape[2]:
-        a = np.prod(lam, axis=-1) ** (1.0 / d)
-        values = d * a
-        dfds = np.divide(2.0 * a[:, None], s, out=np.zeros_like(s), where=s > 0)
-    else:
-        values, dfds = np.zeros(p.size), np.zeros_like(s)
-    dfds[~live] = 0.0
-    return np.where(live, values, 0.0), (u * dfds[:, None, :]) @ vh
-
-
-def _takagi_branch_gradient(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """p_k C_k of each of a (K, 4, r) stack of two-qubit branch factors and
-    its gradient in the factor.
-
-    C = max(0, s_1 - sum_{i>=2} s_i) over the singular values of the Takagi
-    matrix tau = B^T (sy ⊗ sy) B; with G_tau = U diag(1, -1, ...) V^H the
-    gradient is 2 (sy ⊗ sy) conj(B) sym(G_tau), zero where C = 0.
-    """
-    u, s, vh = np.linalg.svd(_takagi_stack(factors))
-    sign = np.where(np.arange(s.shape[-1]) == 0, 1.0, -1.0)
-    values = s @ sign
-    p = np.sum(np.abs(factors) ** 2, axis=(-2, -1))
-    live = (p >= NULL_BRANCH_TOL) & (values > 0)
-    g_tau = (u * sign) @ vh
-    grad = _YY @ factors.conj() @ (g_tau + np.swapaxes(g_tau, -1, -2))
-    grad[~live] = 0.0
-    return np.where(live, values, 0.0), grad
-
-
 class _FactorEvaluator:
     """Branch averages of one state over rank-one product outcomes on its
     Jamiolkowski map across (A..., B...) | Z: one ``branch_factors`` product
@@ -287,10 +237,11 @@ class _FactorEvaluator:
     ``RootMeasure.factor_branches``.
 
     ``average_and_gradient`` carries the exact gradient back to the Gaussian
-    pre-images where the root has a closed form (``exact_gradient``): r = 1
-    under every root, and r > 1 on a 2 x 2 cut under concurrence and G. The
-    remaining cases (G on a larger mixed cut, entropy on a mixed state) have
-    values only (``averages``).
+    pre-images where the branches have a closed-form kernel
+    (``RootMeasure.kernel``, chosen once here; ``exact_gradient`` says
+    whether there is one): r = 1 under every root, and r > 1 on a 2 x 2 cut
+    under concurrence and G. The remaining cases (G on a larger mixed cut,
+    entropy on a mixed state) have values only (``averages``).
     """
 
     def __init__(self, rho: DensityOperator, measure: RootMeasure):
@@ -302,14 +253,14 @@ class _FactorEvaluator:
         self.jam = from_state(rho, a + b, dims.z_labels)
         self.y_dims, self.r = self.jam.y_dims, self.jam.factor.shape[-1]
         self.measure = measure
-        self.exact_gradient = self.r == 1 or (
-            measure.kind != "entropy" and (self.da, self.db) == (2, 2))
+        self.kernel = measure.kernel(self.da, self.db, self.r)
+        self.exact_gradient = self.kernel is not None
 
     def averages(self, isos) -> np.ndarray:
         """Averages of a batch of POVMs, party i's isometries a (R, K_i, d_i)
         stack: all R K branches are scored in one call."""
         w = _outcome_vectors(isos)
-        p, values = (a.reshape(w.shape[:2]) for a in self.measure.factor_branches(
+        p, values, _ = (a.reshape(w.shape[:2]) for a in self.measure.factor_branches(
             self.jam.branch_factors(w.reshape(-1, w.shape[-1])), self.y_dims, self.cut))
         # row-by-column products: numpy's dot, one per restart
         return (p[:, None, :] @ values[:, :, None])[:, 0, 0]
@@ -326,12 +277,7 @@ class _FactorEvaluator:
         qrs = [phase_fixed_qr(x) for x in params]
         isos = [q for q, _ in qrs]
         w = _outcome_vectors(isos)
-        factors = self.jam.branch_factors(w.reshape(-1, w.shape[-1]))
-        if self.r == 1:
-            values, g_f = _pure_branch_gradient(
-                self.measure.kind, factors.reshape(-1, self.da, self.db))
-        else:
-            values, g_f = _takagi_branch_gradient(factors)
+        _, values, g_f = self.kernel(self.jam.branch_factors(w.reshape(-1, w.shape[-1])))
         g_w = g_f.reshape(w.shape[:-1] + (-1,)).conj() @ self.jam.factor.reshape(
             self.jam.d_z, -1).T
         return values.reshape(w.shape[:-1]).sum(axis=-1), [

@@ -5,12 +5,17 @@ instruments.
 
 ``RootMeasure`` scores every state in one form, a stack of branch factors F_k
 in cut order, the branch being F_k F_k^dag (``RootMeasure.factor_branches``):
-one state is its eigen-factor (``density``), a state vector one column
-(``gconcurrence_pure``, ``entropy_of_entanglement``). A rank-one branch is
-scored on its Schmidt spectrum, a two-qubit branch under the concurrence or G
-by one Wootters kernel, any other branch on the Schmidt spectrum of its top
-singular vector. ``RootMeasure.needs_roof`` is the one rule that sends G of a
-mixed branch to the convex roof instead.
+one state is its ``jamiolkowski.eigen_factor`` (``density``,
+``wootters_concurrence``), a state vector one column (``gconcurrence_pure``,
+``entropy_of_entanglement``). Each closed form is one kernel returning (p,
+p v, gradient of p v), which the LE ascent differentiates too:
+``schmidt_kernel`` on rank-one branches and ``takagi_kernel`` (Wootters) on
+two-qubit branches under the concurrence or G. ``RootMeasure.kernel`` is the
+one rule for which branches take a kernel; any other branch is scored on the
+Schmidt spectrum of its top singular vector, or, where
+``RootMeasure.needs_roof`` says so (G of a mixed branch on a cut larger than
+2 x 2), by the convex roof, and ``factor_branches`` reports which branches
+did.
 
 The geometric-mean concurrence for a d x d pure state is
 d * (lambda_0 ... lambda_{d-1})^(1/d) with lambda the squared Schmidt
@@ -23,9 +28,11 @@ unnormalized vector it is homogeneous of degree one in the density operator
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from .jamiolkowski import eigen_factor
 from .states import (
     DensityOperator,
     DimSpec,
@@ -94,7 +101,7 @@ def _pure_value(kind: str, psi: PureState, cut) -> float:
     """p v of a state vector scored as a one-column stack in cut order."""
     left, right = _cut_or_default(psi.dims, cut)
     factor, dims = permute_factor(psi.amplitudes[:, None], psi.dims, left + right)
-    p, values = RootMeasure(kind).factor_branches(factor[None], dims, (left, right))
+    p, values, _ = RootMeasure(kind).factor_branches(factor[None], dims, (left, right))
     return float(p[0] * values[0])
 
 
@@ -104,30 +111,64 @@ def _takagi_stack(factors: np.ndarray) -> np.ndarray:
     return np.swapaxes(factors, -1, -2) @ _YY @ factors
 
 
-def _wootters_from_factors(factors: np.ndarray) -> np.ndarray:
-    """Two-qubit concurrence of rho_k = F_k F_k^dag for a (K, 4, r) factor stack.
+def schmidt_kernel(kind: str, d_left: int, d_right: int, factors: np.ndarray):
+    """(p, p v, gradient of p v) of each of a (K, d_left d_right, 1) stack of
+    rank-one branch factors in cut order, p v = 0 and gradient 0 on a null
+    branch; the gradient, in the factor, is U diag(df/ds) V^H of one batched
+    SVD of the branch coefficient matrices.
 
-    The square roots of the eigenvalues of rho (sy ⊗ sy) rho* (sy ⊗ sy) are
-    the singular values s of the Takagi matrix, so C = max(0, s_1 - s_2 -
-    ...). Homogeneous of degree one in rho: an unnormalized factor gives
-    p C(rho / p).
+    With lambda = s^2 and p = sum lambda: entropy p S(lambda / p) and df/ds =
+    -2 s log2(lambda / p); G (and the concurrence, its 2 x 2 case) the
+    homogeneous ``spectrum_value`` of lambda and df/ds = 2 p v / (d s), zero
+    on an unequal cut.
     """
-    s = np.linalg.svd(_takagi_stack(factors), compute_uv=False)
-    return np.maximum(0.0, s[..., 0] - np.sum(s[..., 1:], axis=-1))
+    u, s, vh = np.linalg.svd(factors.reshape(-1, d_left, d_right), full_matrices=False)
+    lam = s * s
+    p = np.sum(lam, axis=-1)
+    live = p >= NULL_BRANCH_TOL
+    d = max(d_left, d_right)
+    if kind == "entropy":
+        ratio = lam / np.where(live, p, 1.0)[:, None]
+        pv = p * spectrum_value(kind, ratio, d)
+        dfds = -2.0 * s * np.log2(np.where(ratio > 1e-15, ratio, 1.0))
+    else:
+        pv = spectrum_value(kind, lam, d)
+        dfds = np.divide(2.0 * pv[:, None] / d, s, out=np.zeros_like(s), where=s > 0)
+    dfds[~live] = 0.0
+    return p, np.where(live, pv, 0.0), ((u * dfds[:, None, :]) @ vh).reshape(factors.shape)
+
+
+def takagi_kernel(factors: np.ndarray):
+    """(p, p C, gradient of p C) of each of a (K, 4, r) stack of two-qubit
+    branch factors B in cut order, p C = 0 and gradient 0 on a null branch.
+
+    C = max(0, s_1 - sum_{i>=2} s_i) over the singular values of the Takagi
+    matrix tau = B^T (sy ⊗ sy) B, the square roots of the eigenvalues of rho
+    (sy ⊗ sy) rho* (sy ⊗ sy) (Wootters, PRL 80, 2245 (1998)); homogeneous of
+    degree one in rho = B B^dag. With G_tau = U diag(1, -1, ...) V^H the
+    gradient is 2 (sy ⊗ sy) conj(B) sym(G_tau), zero where C = 0.
+    """
+    u, s, vh = np.linalg.svd(_takagi_stack(factors))
+    sign = np.where(np.arange(s.shape[-1]) == 0, 1.0, -1.0)
+    pc = s @ sign
+    p = np.sum(np.abs(factors) ** 2, axis=(-2, -1))
+    live = (p >= NULL_BRANCH_TOL) & (pc > 0)
+    g_tau = (u * sign) @ vh
+    grad = _YY @ factors.conj() @ (g_tau + np.swapaxes(g_tau, -1, -2))
+    grad[~live] = 0.0
+    return p, np.where(live, pc, 0.0), grad
 
 
 def wootters_concurrence(rho: DensityOperator, cut=None) -> float:
     """Two-qubit concurrence closed form.
 
     max(0, mu_1 - mu_2 - mu_3 - mu_4) with mu_i the decreasing square roots of
-    the eigenvalues of rho (sy ⊗ sy) rho* (sy ⊗ sy), taken as the singular
-    values of the Takagi matrix of rho's eigen-factor.
+    the eigenvalues of rho (sy ⊗ sy) rho* (sy ⊗ sy): ``RootMeasure.density``
+    under the concurrence, the Takagi kernel on rho's eigen-factor (the
+    Schmidt kernel where that has one column). Any other cut raises
+    DimensionError.
     """
-    left, right = _cut_or_default(rho.dims, cut)
-    if rho.dims.dim_of_labels(left) != 2 or rho.dims.dim_of_labels(right) != 2:
-        raise DimensionError("concurrence closed form requires a 2 x 2 qubit pair")
-    evals, evecs = rho.eigensystem()
-    return float(_wootters_from_factors((evecs * np.sqrt(evals))[None])[0])
+    return RootMeasure("concurrence").density(rho, cut)
 
 
 def f_factor(kraus_ops, d: int | None = None) -> float:
@@ -202,7 +243,7 @@ class RootMeasure:
     closed form on a qubit pair (where the two coincide), on a pure state and
     on an unequal cut (0 by the zero padding), and the convex roof on a mixed
     state elsewhere (``needs_roof``); entropy accepts only (numerically) pure
-    inputs.
+    inputs. ``kernel`` says which branches have a closed-form kernel.
     """
 
     kind: str
@@ -216,6 +257,22 @@ class RootMeasure:
         """Raise DimensionError when this root cannot score a d_left x d_right cut."""
         if self.kind == "concurrence" and (d_left, d_right) != (2, 2):
             raise DimensionError("concurrence closed form requires a qubit pair")
+
+    def kernel(self, d_left: int, d_right: int, rank: int):
+        """The closed-form kernel of a d_left x d_right branch whose factor has
+        ``rank`` columns, the one rule for which branches have one, or None.
+
+        Rank one under every root: ``schmidt_kernel``. Rank above one under
+        the concurrence and G on a 2 x 2 cut: ``takagi_kernel``. The kernel
+        maps a (K, d_left d_right, rank) factor stack in cut order to (p, p v,
+        gradient of p v). Elsewhere (None) a branch is scored on its top
+        singular vector, or takes the roof where ``needs_roof`` says so.
+        """
+        if rank == 1:
+            return partial(schmidt_kernel, self.kind, d_left, d_right)
+        if self.kind != "entropy" and (d_left, d_right) == (2, 2):
+            return takagi_kernel
+        return None
 
     def needs_roof(self, dims: DimSpec, cut, spectrum) -> np.ndarray:
         """Where a state with eigenvalues ``spectrum`` (last axis, any scale)
@@ -235,52 +292,44 @@ class RootMeasure:
         return mixed & (self.kind == "gconcurrence" and d == dims.dim_of_labels(right) > 2)
 
     def density(self, rho: DensityOperator, cut=None) -> float:
-        """Value of one state across the cut (None: the A|B role cut): its
-        eigen-factor scored as a stack of one, or, where ``needs_roof`` says
-        so, the convex roof of rho itself."""
+        """p v of one state across the cut (None: the A|B role cut), p its
+        kept trace: its ``eigen_factor`` scored as a stack of one, or, where
+        ``needs_roof`` says so on the factor's column norms, the convex roof
+        of rho itself. Homogeneous of degree one in rho."""
         left, right = _cut_or_default(rho.dims, cut)
-        evals, evecs = rho.eigensystem()
-        if self.needs_roof(rho.dims, (left, right), evals):
+        factor, dims = permute_factor(eigen_factor(rho), rho.dims, left + right)
+        if self.needs_roof(dims, (left, right), np.sum(np.abs(factor) ** 2, axis=0)):
             from .roof import gconcurrence_mixed
 
             return gconcurrence_mixed(rho, (left, right), self.roof_config)[0]
-        factor, dims = permute_factor(evecs * np.sqrt(evals), rho.dims, left + right)
-        return float(self.factor_branches(factor[None], dims, (left, right))[1][0])
+        p, values, _ = self.factor_branches(factor[None], dims, (left, right))
+        return float(p[0] * values[0])
 
     def factor_branches(self, factors: np.ndarray, dims: DimSpec,
-                        cut) -> tuple[np.ndarray, np.ndarray]:
-        """(probabilities, values) of a (K, d, r) stack of branch factors, the
-        branch of outcome k being F_k F_k^dag on the layout ``dims``, whose
-        parties are in cut order (``states.permute_factor``), scored across
-        ``cut``.
+                        cut) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(probabilities, values, roofed) of a (K, d, r) stack of branch
+        factors, the branch of outcome k being F_k F_k^dag on the layout
+        ``dims``, whose parties are in cut order (``states.permute_factor``),
+        scored across ``cut``; ``roofed`` marks the branches that took a
+        convex-roof solve.
 
-        Rank one (r = 1): the Schmidt spectrum of each factor. Concurrence and
-        G on a two-qubit cut: the Wootters kernel on the Takagi matrices of the
-        factors. Anything else: one SVD of each factor gives the branch
-        spectrum and its top eigenvector, scored on its Schmidt spectrum; the
-        entropy root rejects a mixed branch, and a branch that ``needs_roof``
-        takes one roof solve. Null branches (probability below 1e-14) report
-        (0, 0).
+        Where ``kernel`` gives one, the value is its p v / p. Elsewhere one SVD
+        of each factor gives the branch spectrum and its top eigenvector,
+        scored on its Schmidt spectrum; the entropy root rejects a mixed
+        branch, and a branch that ``needs_roof`` takes one roof solve. Null
+        branches (probability below 1e-14) report (0, 0) and are not roofed.
         """
         left, right = tuple(cut[0]), tuple(cut[1])
         dl, dr = dims.dim_of_labels(left), dims.dim_of_labels(right)
         self.check_cut(dl, dr)
         if dims.labels != left + right:
             raise DimensionError(f"factor parties {dims.labels} are not in cut order")
-        if factors.shape[-1] == 1:
-            s = np.linalg.svd(factors.reshape(-1, dl, dr), compute_uv=False)
-            lam = s * s
-            p = np.sum(lam, axis=-1)
+        kernel = self.kernel(dl, dr, factors.shape[-1])
+        if kernel is not None:
+            p, pv, _ = kernel(factors)
             live = p >= NULL_BRANCH_TOL
-            values = spectrum_value(self.kind, lam / np.where(live, p, 1.0)[:, None],
-                                    max(dl, dr))
-            return np.where(live, p, 0.0), np.where(live, values, 0.0)
-        if self.kind != "entropy" and (dl, dr) == (2, 2):
-            p = np.sum(np.abs(factors) ** 2, axis=(-2, -1))
-            live = p >= NULL_BRANCH_TOL
-            values = np.zeros(p.size)
-            values[live] = _wootters_from_factors(factors[live]) / p[live]
-            return np.where(live, p, 0.0), values
+            return (np.where(live, p, 0.0), pv / np.where(live, p, 1.0),
+                    np.zeros(p.shape, dtype=bool))
         u, s, _ = np.linalg.svd(factors, full_matrices=False)
         lam = s * s
         p = np.sum(lam, axis=-1)
@@ -289,13 +338,14 @@ class RootMeasure:
             raise MixedBranchError("entropy root is defined on pure states only; got a mixed branch")
         schmidt = np.linalg.svd(u[:, :, 0].reshape(-1, dl, dr), compute_uv=False)
         values = spectrum_value(self.kind, schmidt * schmidt, max(dl, dr))
-        for k in np.flatnonzero(live & self.needs_roof(dims, (left, right), lam)):
+        roofed = live & self.needs_roof(dims, (left, right), lam)
+        for k in np.flatnonzero(roofed):
             from .roof import gconcurrence_mixed
 
             op = factors[k] @ factors[k].conj().T
             sigma = DensityOperator(0.5 * (op + op.conj().T) / p[k], dims)
             values[k] = gconcurrence_mixed(sigma, (left, right), self.roof_config)[0]
-        return np.where(live, p, 0.0), np.where(live, values, 0.0)
+        return np.where(live, p, 0.0), np.where(live, values, 0.0), roofed
 
     def __call__(self, state, cut=None) -> float:
         if isinstance(state, PureState):

@@ -7,10 +7,12 @@ implicit in the branching. A branch is carried as a factor F of its
 unnormalized state, from the state's ``eigen_factor``: outcome j maps it
 one-sided to the columns of (M_jk ⊗ I) F over its Kraus operators M_jk, and
 a leaf is the branch's Jamiolkowski map at q = I (the helper axes moved into
-the columns), scored by one ``RootMeasure.factor_branches`` call. The
-collaboration value of a given tree is an achievable average, hence a lower
-bound on the collaboration optimum, unless a leaf took a convex-roof solve,
-itself an upper bound: that value is an estimate.
+the columns), scored by one ``RootMeasure.factor_branches`` call, which also
+says whether the leaf took a convex-roof solve. A branch below the scorer's
+``NULL_BRANCH_TOL`` is dropped. The collaboration value of a given tree is an
+achievable average, hence a lower bound on the collaboration optimum, unless
+a leaf took a convex-roof solve, itself an upper bound: that value is an
+estimate.
 """
 
 from __future__ import annotations
@@ -22,10 +24,8 @@ import numpy as np
 from .catalog import LockedStateSpec
 from .jamiolkowski import eigen_factor, from_factor
 from .localize import LEConfig, ProductPOVM, average_root_entanglement, optimize_le
-from .measures import Instrument, RootMeasure
+from .measures import NULL_BRANCH_TOL, Instrument, RootMeasure
 from .states import DensityOperator, DimensionError, DimSpec, permute_factor
-
-_PRUNE_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class ProtocolResult:
     """Weighted leaves of a protocol run: (probability, leaf value, outcome path).
 
     ``bound`` is "lower" (a lower bound on the collaboration optimum) unless
-    a leaf ``needs_roof`` on its spectrum; the average is then an "estimate".
+    a leaf took a convex-roof solve; the average is then an "estimate".
     """
 
     average: float
@@ -91,9 +91,10 @@ def evaluate_protocol(rho: DensityOperator, root: ProtocolNode | None,
                       measure: RootMeasure) -> ProtocolResult:
     """Depth-first branch evolution of the protocol tree on the shared state.
 
-    A branch weighs the squared norm of its factor; a leaf's singular values
-    give its bound, and its state is F F^dag / p on the Y parties in party
-    order.
+    A branch weighs the squared norm of its factor and is dropped below
+    ``NULL_BRANCH_TOL``; a leaf takes its value and its bound from one
+    ``factor_branches`` call, and its state is F F^dag / p on the Y parties in
+    party order.
     """
     dims = rho.dims
     dims.require_bipartite_roles()
@@ -102,16 +103,15 @@ def evaluate_protocol(rho: DensityOperator, root: ProtocolNode | None,
 
     def recurse(factor: np.ndarray, node, path):
         p = float(np.vdot(factor, factor).real)
-        if p < _PRUNE_TOL:
+        if p < NULL_BRANCH_TOL:
             return
         if node is None:
             jam = from_factor(factor, dims, cut[0] + cut[1], dims.z_labels)
             leaf = jam.reduced_factor()
-            value = measure.factor_branches(leaf[None], jam.y_dims, cut)[1][0]
-            roofed.append(measure.needs_roof(jam.y_dims, cut,
-                                             np.linalg.svd(leaf, compute_uv=False) ** 2))
+            _, value, roof = measure.factor_branches(leaf[None], jam.y_dims, cut)
+            roofed.append(roof[0])
             leaf, y_dims = permute_factor(leaf, jam.y_dims, dims.y_labels)
-            leaves.append((p, float(value), tuple(path)))
+            leaves.append((p, float(value[0]), tuple(path)))
             leaf_states.append(DensityOperator(leaf @ leaf.conj().T / p, y_dims))
             return
         axis = _party_axis(dims, node.instrument)
@@ -133,7 +133,7 @@ def apply_instrument(rho: DensityOperator, instrument: Instrument):
     for kraus in instrument.outcomes:
         post = _apply_kraus(factor, kraus, axis, rho.dims)
         q = float(np.vdot(post, post).real)
-        if q < _PRUNE_TOL:
+        if q < NULL_BRANCH_TOL:
             out.append((0.0, None))
             continue
         out.append((q, DensityOperator(post @ post.conj().T / q, rho.dims)))

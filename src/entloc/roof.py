@@ -8,12 +8,14 @@ G is the concurrence, Wootters' value with his optimal decomposition
 upper bound from a descent.
 
 The descent searches the standard isometry parameterization: with rho =
-W W^dag (W = V sqrt(e) from the eigendecomposition, r columns), every size-m
-ensemble arises as |psi~_i> = sum_r U_ir w_r for an m x r isometry U. Because G is homogeneous of degree one in the density operator,
-the objective is simply sum_i G(|psi~_i>) on the unnormalized vectors, which
-keeps the search landscape smooth. On a d x d cut G(|psi~>) = d |det C|^(2/d)
-for the d x d coefficient matrix C of |psi~>, so the m members are scored as
-one (m, d, d) stack by one determinant call, with no SVD.
+W W^dag (W = V sqrt(e), the ``jamiolkowski.eigen_factor`` every closed form
+takes too, r columns), every size-m ensemble arises as |psi~_i> = sum_r
+U_ir w_r for an m x r isometry U. Because G is homogeneous of degree one in
+the density operator, the objective is simply sum_i G(|psi~_i>) on the
+unnormalized vectors, which keeps the search landscape smooth. On a d x d
+cut G(|psi~>) = d |det C|^(2/d) for the d x d coefficient matrix C of
+|psi~>, so the m members are scored as one (m, d, d) stack by one
+determinant call, with no SVD.
 
 The optimizer is a gradient-only multistart over the Gaussian pre-image x of
 the isometry (U = Q of the phase-fixed QR x = Q R; the parameterization of
@@ -40,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .jamiolkowski import eigen_factor
 from .measures import _cut_or_default, _takagi_stack
 from .sampling import (flatten_complex, lockstep_lbfgs, phase_fixed_qr, phase_fixed_qr_backward,
                        seeded_starts, unflatten_complex)
@@ -140,14 +143,6 @@ def _objective_and_gradient(x: np.ndarray, w: np.ndarray, d: int, eps: float):
     g_q = g_c.reshape(q.shape[:-1] + (-1,)) @ w.conj()
     value = d * (np.sum(a, axis=-1) - a.shape[-1] * eps ** (2.0 / d))
     return value, phase_fixed_qr_backward(q, r, g_q)
-
-
-def _eigen_factor(rho: DensityOperator) -> np.ndarray:
-    """(d, r) factor w of rho = w w^dag: the eigenvectors of the eigenvalues
-    above 1e-12 scaled by their square roots."""
-    evals, evecs = rho.eigensystem()
-    live = evals > 1e-12
-    return evecs[:, live] * np.sqrt(evals[live])
 
 
 def _members(cols: np.ndarray, dims: DimSpec) -> tuple[np.ndarray, tuple[PureState, ...]]:
@@ -269,7 +264,7 @@ def gconcurrence_mixed(rho: DensityOperator, cut=None, config: RoofConfig | None
     dl = rho.dims.dim_of_labels(left)
     dr = rho.dims.dim_of_labels(right)
 
-    w = _eigen_factor(rho)
+    w = eigen_factor(rho)
     r = w.shape[1]
     m = r + 2 if config.ensemble_size is None else config.ensemble_size
     if m < r:

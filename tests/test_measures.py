@@ -4,12 +4,15 @@ from hypothesis import given, settings, strategies as st
 
 from entloc import (
     checks,
+    measures,
+    roof,
     DimSpec,
     DensityOperator,
     DimensionError,
     Instrument,
     PureState,
     RoofConfig,
+    RootMeasure,
     concurrence_measure,
     entropy_measure,
     entropy_of_entanglement,
@@ -20,6 +23,8 @@ from entloc import (
     wootters_concurrence,
 )
 from entloc.catalog import bell_state, phi_plus_4_state, phi_plus_vector, werner_state
+from entloc.localize import _FactorEvaluator
+from entloc.measures import NULL_BRANCH_TOL
 from entloc.sampling import (
     random_density,
     random_instrument,
@@ -165,6 +170,113 @@ class TestRootMeasure:
         assert not concurrence_measure().needs_roof(pair_spec(3, 3), None, mixed)
         np.testing.assert_array_equal(
             measure.needs_roof(pair_spec(3, 3), None, np.stack([mixed, pure])), [True, False])
+
+
+# (root, d_left, d_right, factor rank, route): the kernel of ``RootMeasure.kernel``,
+# the top singular vector, the roof, or None where the root rejects the cut
+ROUTES = [
+    ("entropy", 2, 2, 1, "schmidt"), ("entropy", 2, 3, 1, "schmidt"),
+    ("entropy", 3, 3, 1, "schmidt"), ("entropy", 2, 2, 2, "top"),
+    ("entropy", 2, 3, 2, "top"), ("entropy", 3, 3, 2, "top"),
+    ("concurrence", 2, 2, 1, "schmidt"), ("concurrence", 2, 2, 2, "takagi"),
+    ("concurrence", 2, 3, 1, None), ("concurrence", 2, 3, 2, None),
+    ("concurrence", 3, 3, 1, None), ("concurrence", 3, 3, 2, None),
+    ("gconcurrence", 2, 2, 1, "schmidt"), ("gconcurrence", 2, 2, 2, "takagi"),
+    ("gconcurrence", 2, 3, 1, "schmidt"), ("gconcurrence", 2, 3, 2, "top"),
+    ("gconcurrence", 3, 3, 1, "schmidt"), ("gconcurrence", 3, 3, 2, "roof"),
+]
+
+
+class TestOneRule:
+    """``RootMeasure.kernel`` decides, once, which branches have a closed form;
+    ``factor_branches`` and the LE evaluator both follow it."""
+
+    @pytest.mark.parametrize("seed,case", list(enumerate(ROUTES)),
+                             ids=lambda c: "-".join(map(str, c)) if isinstance(c, tuple) else "")
+    def test_each_input_takes_one_route(self, seed, case, monkeypatch):
+        kind, dl, dr, rank, route = case
+        rng = np.random.default_rng(500 + seed)
+        measure = RootMeasure(kind, RoofConfig(restarts=2))
+        dims = pair_spec(dl, dr)
+        # three random branch factors and a null one; under entropy the second
+        # column is 1e-6 of the first, so the branches pass as pure
+        factors = (rng.standard_normal((4, dl * dr, rank))
+                   + 1j * rng.standard_normal((4, dl * dr, rank)))
+        if kind == "entropy" and rank > 1:
+            factors[:, :, 1:] *= 1e-6
+        factors[3] = 0.0
+        state = random_density(DimSpec.make(("A", dl, "A"), ("B", dr, "B"), ("C", 2, "Z")),
+                               rng, rank=rank)
+        if route is None:
+            with pytest.raises(DimensionError):
+                measure.factor_branches(factors, dims, (("A",), ("B",)))
+            with pytest.raises(DimensionError):
+                _FactorEvaluator(state, measure)
+            return
+        evaluator = _FactorEvaluator(state, measure)
+        assert evaluator.r == rank
+        assert evaluator.exact_gradient == (route in ("schmidt", "takagi"))
+        assert evaluator.exact_gradient == (measure.kernel(dl, dr, rank) is not None)
+
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(measures, "schmidt_kernel", spy("schmidt", measures.schmidt_kernel))
+        monkeypatch.setattr(measures, "takagi_kernel", spy("takagi", measures.takagi_kernel))
+        monkeypatch.setattr(roof, "gconcurrence_mixed", spy("roof", roof.gconcurrence_mixed))
+        p, values, roofed = measure.factor_branches(factors, dims, (("A",), ("B",)))
+        assert calls == {"schmidt": ["schmidt"], "takagi": ["takagi"], "top": [],
+                         "roof": ["roof"] * 3}[route]
+
+        assert (p[3], values[3]) == (0.0, 0.0) and np.all(p[:3] > 0)
+        spectra = np.linalg.svd(factors, compute_uv=False) ** 2
+        np.testing.assert_array_equal(roofed, (p > 0) & measure.needs_roof(dims, None, spectra))
+        kernel = measure.kernel(dl, dr, rank)
+        if kernel is not None:
+            p_k, pv_k, _ = kernel(factors)
+            np.testing.assert_array_equal(p[:3], p_k[:3])
+            np.testing.assert_array_equal(values[:3], pv_k[:3] / p_k[:3])
+            assert p_k[3] < NULL_BRANCH_TOL and pv_k[3] == 0.0
+
+    @pytest.mark.parametrize("kind,d,rank", [
+        ("entropy", 3, 1), ("concurrence", 2, 2), ("gconcurrence", 2, 3),
+        ("gconcurrence", 3, 1), ("gconcurrence", 3, 2)])
+    def test_density_is_homogeneous(self, kind, d, rank):
+        # p v of the kept trace, not renormalized: density(c rho) = c density(rho).
+        # The roof route holds this to the descent's precision only: its
+        # smoothing and gradient stop test are absolute, so a scaled state
+        # stops at another point (up to 8e-6 apart on ten random 3 x 3
+        # states of rank 2-3 at c = 0.5 and 2)
+        rho = random_density(pair_spec(d, d), np.random.default_rng(40 + d + rank), rank=rank)
+        measure = RootMeasure(kind, RoofConfig(restarts=4))
+        value = measure.density(rho)
+        assert value > 0.01
+        on_roof = measure.needs_roof(rho.dims, None, rho.eigensystem()[0])
+        assert on_roof == (kind == "gconcurrence" and d == 3 and rank == 2)
+        for c in (0.5, 2.0):
+            scaled = DensityOperator(c * rho.matrix, rho.dims, normalized=False)
+            assert measure.density(scaled) == pytest.approx(
+                c * value, abs=c * (1e-4 if on_roof else 1e-14))
+
+    @pytest.mark.parametrize("tiny", [9e-13, 5e-12, 9e-12])
+    def test_one_eigen_cut_on_two_qubits(self, tiny):
+        # an eigenvalue below the state's rank cut (1e-11): the roof's closed
+        # form, the Wootters closed form and density all drop it
+        worst = 0.0
+        for rng in spawn_rngs(7, 200):
+            ev = np.append(rng.dirichlet(np.ones(3)) * (1 - tiny), tiny)
+            u = random_unitary(4, rng)
+            rho = DensityOperator((u * ev) @ u.conj().T, pair_spec(2, 2))
+            conc = wootters_concurrence(rho)
+            assert concurrence_measure().density(rho) == conc
+            assert gconcurrence_measure().density(rho) == conc
+            worst = max(worst, abs(gconcurrence_mixed(rho)[0] - conc))
+        assert worst <= 1e-14
 
 
 class TestFFactor:
