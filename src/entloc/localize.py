@@ -5,8 +5,9 @@ helper (Z-role) parties can steer onto the A-B pair with a product POVM.
 the rows of an isometry Q from the phase-fixed QR of a Gaussian pre-image x,
 from seeded restarts run in lockstep. The input picks the one descent every
 restart runs. Where the branches have a closed-form kernel
-(``RootMeasure.kernel``: the Schmidt kernel on a pure state, the Takagi
-kernel for concurrence and G on a mixed 2 x 2 cut) it is
+(``RootMeasure.kernel``: on a pure state the determinant kernel for
+concurrence and G on an equal cut and the Schmidt kernel otherwise, the
+Takagi kernel for concurrence and G on a mixed 2 x 2 cut) it is
 ``sampling.lockstep_lbfgs``, the convex roof's descent too, on the kernel's
 exact gradient of the branch average (the pattern of Audenaert, Verstraete
 and De Moor, PRA 64, 052304 (2001)), carried back through the row-wise
@@ -102,8 +103,10 @@ class LEResult:
     a live branch took a convex-roof solve (``RootMeasure.factor_branches``),
     whose value is an upper bound: the average is then an "estimate".
     ``converged`` is True when a restart within 1e-12 (relative) of the
-    winning value stopped on its test (L-BFGS: gtol or ftol; the search: its
-    step rule), though ``winner`` itself may have stopped on "line search".
+    winning value stopped on its test (L-BFGS: gtol or ftol, ftol including
+    a next search whose predicted decrease is below the rounding of f; the
+    search: its step rule), though ``winner`` itself may have stopped on
+    "line search".
     """
 
     value: float

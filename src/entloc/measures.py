@@ -9,9 +9,12 @@ one state is its ``jamiolkowski.eigen_factor`` (``density``,
 ``wootters_concurrence``), a state vector one column (``gconcurrence_pure``,
 ``entropy_of_entanglement``). Each closed form is one kernel returning (p,
 p v, gradient of p v), which the LE ascent differentiates too:
-``schmidt_kernel`` on rank-one branches and ``takagi_kernel`` (Wootters) on
-two-qubit branches under the concurrence or G. ``RootMeasure.kernel`` is the
-one rule for which branches take a kernel; any other branch is scored on the
+``determinant_kernel`` on rank-one branches under the concurrence and G on
+an equal cut (d |det C|^(2/d), the formula ``smoothed_determinant`` also
+gives the convex roof), ``schmidt_kernel`` on the other rank-one branches
+(entropy, unequal cuts) and ``takagi_kernel`` (Wootters) on two-qubit
+branches under the concurrence or G. ``RootMeasure.kernel`` is the one rule
+for which branches take a kernel; any other branch is scored on the
 Schmidt spectrum of its top singular vector, or, where
 ``RootMeasure.needs_roof`` says so (G of a mixed branch on a cut larger than
 2 x 2), by the convex roof, and ``factor_branches`` reports which branches
@@ -111,6 +114,41 @@ def _takagi_stack(factors: np.ndarray) -> np.ndarray:
     return np.swapaxes(factors, -1, -2) @ _YY @ factors
 
 
+def smoothed_determinant(mats: np.ndarray, eps: float):
+    """a = (|det C|^2 + eps^2)^(1/d) of each of a (..., d, d) stack of matrices
+    C, and the gradient of d a, G = 2 a |det C|^2 / (|det C|^2 + eps^2) C^-H
+    (0 where det C = 0), by one determinant and one inverse call.
+
+    At eps = 0, d a = d |det C|^(2/d) is G of the pure state with coefficient
+    matrix C (Gour, PRA 71, 012318 (2005)), its gradient 2 |det C|^(2/d)
+    C^-H; the roof descends on eps > 0, smooth at det C = 0.
+    """
+    d = mats.shape[-1]
+    det = np.linalg.det(mats)
+    det2 = det.real ** 2 + det.imag ** 2
+    smooth = det2 + eps * eps
+    a = smooth ** (1.0 / d)
+    live = det2 > 0
+    inv = np.linalg.inv(np.where(live[..., None, None], mats, np.eye(d)))
+    coef = 2.0 * a * det2 / np.where(live, smooth, 1.0)  # 0 where det C = 0
+    return a, coef[..., None, None] * inv.conj().swapaxes(-1, -2)
+
+
+def determinant_kernel(d: int, factors: np.ndarray):
+    """(p, p v, gradient of p v) of each of a (K, d d, 1) stack of rank-one
+    branch factors on a d x d cut in cut order, under G (the concurrence
+    where d = 2): p v = d |det C|^(2/d) of the coefficient matrix C, its
+    gradient 2 |det C|^(2/d) C^-H (``smoothed_determinant`` at eps = 0), the
+    Schmidt kernel's value and gradient without an SVD. p v = 0 and gradient
+    0 on a null branch and where det C = 0.
+    """
+    p = np.sum(np.abs(factors) ** 2, axis=(-2, -1))
+    live = p >= NULL_BRANCH_TOL
+    a, grad = smoothed_determinant(factors.reshape(-1, d, d), 0.0)
+    grad[~live] = 0.0
+    return p, np.where(live, d * a, 0.0), grad.reshape(factors.shape)
+
+
 def schmidt_kernel(kind: str, d_left: int, d_right: int, factors: np.ndarray):
     """(p, p v, gradient of p v) of each of a (K, d_left d_right, 1) stack of
     rank-one branch factors in cut order, p v = 0 and gradient 0 on a null
@@ -120,7 +158,9 @@ def schmidt_kernel(kind: str, d_left: int, d_right: int, factors: np.ndarray):
     With lambda = s^2 and p = sum lambda: entropy p S(lambda / p) and df/ds =
     -2 s log2(lambda / p); G (and the concurrence, its 2 x 2 case) the
     homogeneous ``spectrum_value`` of lambda and df/ds = 2 p v / (d s), zero
-    on an unequal cut.
+    on an unequal cut. ``RootMeasure.kernel`` takes it for entropy and for G
+    on an unequal cut; on an equal cut ``determinant_kernel`` gives G's value
+    and gradient to rounding without the SVD.
     """
     u, s, vh = np.linalg.svd(factors.reshape(-1, d_left, d_right), full_matrices=False)
     lam = s * s
@@ -262,13 +302,17 @@ class RootMeasure:
         """The closed-form kernel of a d_left x d_right branch whose factor has
         ``rank`` columns, the one rule for which branches have one, or None.
 
-        Rank one under every root: ``schmidt_kernel``. Rank above one under
-        the concurrence and G on a 2 x 2 cut: ``takagi_kernel``. The kernel
-        maps a (K, d_left d_right, rank) factor stack in cut order to (p, p v,
-        gradient of p v). Elsewhere (None) a branch is scored on its top
-        singular vector, or takes the roof where ``needs_roof`` says so.
+        Rank one under the concurrence and G on an equal cut:
+        ``determinant_kernel``; under entropy, and G on an unequal cut:
+        ``schmidt_kernel``. Rank above one under the concurrence and G on a
+        2 x 2 cut: ``takagi_kernel``. The kernel maps a (K, d_left d_right,
+        rank) factor stack in cut order to (p, p v, gradient of p v).
+        Elsewhere (None) a branch is scored on its top singular vector, or
+        takes the roof where ``needs_roof`` says so.
         """
         if rank == 1:
+            if self.kind != "entropy" and d_left == d_right:
+                return partial(determinant_kernel, d_left)
             return partial(schmidt_kernel, self.kind, d_left, d_right)
         if self.kind != "entropy" and (d_left, d_right) == (2, 2):
             return takagi_kernel

@@ -15,7 +15,8 @@ the density operator, the objective is simply sum_i G(|psi~_i>) on the
 unnormalized vectors, which keeps the search landscape smooth. On a d x d
 cut G(|psi~>) = d |det C|^(2/d) for the d x d coefficient matrix C of
 |psi~>, so the m members are scored as one (m, d, d) stack by one
-determinant call, with no SVD.
+determinant call, with no SVD (``measures.smoothed_determinant``, which at
+eps = 0 is the LE's determinant kernel).
 
 The optimizer is a gradient-only multistart over the Gaussian pre-image x of
 the isometry (U = Q of the phase-fixed QR x = Q R; the parameterization of
@@ -26,24 +27,27 @@ descent runs on the smoothed objective
     f_eps(x) = d sum_i [(|det C_i|^2 + eps^2)^(1/d) - eps^(2/d)],
 
 smooth for eps > 0, below f and tending to f as eps -> 0, and lowers eps in
-stages (``_EPS_SCHEDULE``). Its exact gradient is carried back through the
-QR to x. ``sampling.lockstep_lbfgs`` polishes every restart at the first eps
-in lockstep, one batched QR and one batched determinant per round; the three
-lowest go on through the smaller eps values, each stage starting where the
-last ended. Every restart is scored by the exact f at its final point and the
-lowest wins, so the descent's values carry UPPER-bound semantics: the true
-roof can only be lower.
+stages (``_EPS_SCHEDULE``). The schedule and the gradient stop test are
+absolute, so an unnormalized state (trace t) descends at unit trace, on
+W / sqrt(t), and its value, weights and restart values are scaled back by t:
+the value is homogeneous in rho, as the roof is. Its exact gradient is carried
+back through the QR to x. ``sampling.lockstep_lbfgs`` polishes every restart
+at the first eps in lockstep, one batched QR and one batched determinant per
+round; the three lowest go on through the smaller eps values, each stage
+starting where the last ended. Every restart is scored by the exact f at its
+final point and the lowest wins, so the descent's values carry UPPER-bound
+semantics: the true roof can only be lower.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .jamiolkowski import eigen_factor
-from .measures import _cut_or_default, _takagi_stack
+from .measures import _cut_or_default, _takagi_stack, smoothed_determinant
 from .sampling import (flatten_complex, lockstep_lbfgs, phase_fixed_qr, phase_fixed_qr_backward,
                        seeded_starts, unflatten_complex)
 from .states import DensityOperator, DimSpec, PureState
@@ -128,18 +132,13 @@ def _objective_and_gradient(x: np.ndarray, w: np.ndarray, d: int, eps: float):
     gives the exact f.
 
     The chain: G_C = 2 (|det C|^2 + eps^2)^(1/d - 1) |det C|^2 C^-H (0 where
-    det C = 0); G_Q = G_C flattened against conj(w); then the backward pass
-    of the phase-fixed QR x = Q R (``phase_fixed_qr_backward``).
+    det C = 0), from ``measures.smoothed_determinant``, the formula the LE's
+    determinant kernel takes at eps = 0; G_Q = G_C flattened against
+    conj(w); then the backward pass of the phase-fixed QR x = Q R
+    (``phase_fixed_qr_backward``).
     """
     q, r, mats = _ensemble_stack(x, w, d)
-    det = np.linalg.det(mats)
-    det2 = det.real ** 2 + det.imag ** 2
-    smooth = det2 + eps * eps
-    a = smooth ** (1.0 / d)
-    live = det2 > 0
-    inv = np.linalg.inv(np.where(live[..., None, None], mats, np.eye(d)))
-    coef = 2.0 * a * det2 / np.where(live, smooth, 1.0)  # 0 where det C = 0
-    g_c = coef[..., None, None] * inv.conj().swapaxes(-1, -2)
+    a, g_c = smoothed_determinant(mats, eps)
     g_q = g_c.reshape(q.shape[:-1] + (-1,)) @ w.conj()
     value = d * (np.sum(a, axis=-1) - a.shape[-1] * eps ** (2.0 / d))
     return value, phase_fixed_qr_backward(q, r, g_q)
@@ -284,4 +283,9 @@ def gconcurrence_mixed(rho: DensityOperator, cut=None, config: RoofConfig | None
 
     if dl == 2:
         return _wootters_ensemble(w, rho.dims)
-    return _descent(w, m, rho.dims, config)
+    # the eps schedule and the gradient stop test are absolute: descend at
+    # unit trace and scale back, so the value is homogeneous in rho
+    tr = 1.0 if rho.normalized else rho.trace
+    value, ens = _descent(w / math.sqrt(tr), m, rho.dims, config)
+    return tr * value, replace(ens, weights=tr * ens.weights, value=tr * value,
+                               restart_values=tuple(tr * v for v in ens.restart_values))

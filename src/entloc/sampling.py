@@ -3,7 +3,9 @@ density operators, complete POVMs, and trace-preserving instruments; and two
 multi-start optimizers, each running its restarts in lockstep from the same
 seeded Gaussian starts (``seeded_starts``): an L-BFGS descent, which the
 convex roof and the LE search share wherever the gradient is exact, and a
-random search, the LE's where it is not.
+random search, the LE's where it is not. The descent ends a row on
+L-BFGS-B's tests and also at the rounding floor, where the next line search
+could not resolve a decrease in f.
 
 All sampling is deterministic given the generator/seed passed in; nothing here
 touches global RNG state.
@@ -12,6 +14,7 @@ touches global RNG state.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,6 +56,14 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+@lru_cache(maxsize=None)
+def _skew_masks(c: int) -> tuple[np.ndarray, np.ndarray]:
+    """The strictly lower triangle of ones and i I of size c, read-only."""
+    tri, eye = np.tri(c, c, -1), 1j * np.eye(c)
+    tri.flags.writeable = eye.flags.writeable = False
+    return tri, eye
+
+
 def phase_fixed_qr_backward(q: np.ndarray, r: np.ndarray, g_q: np.ndarray) -> np.ndarray:
     """Carry a gradient through the phase-fixed QR x = Q R of a tall matrix or
     a (..., rows, cols) stack (Q and R from ``phase_fixed_qr``).
@@ -62,8 +73,8 @@ def phase_fixed_qr_backward(q: np.ndarray, r: np.ndarray, g_q: np.ndarray) -> np
     gradient with respect to x is G_x = [Q N + (I - Q Q^H) G_Q] R^-H.
     """
     mq = _adjoint(q) @ g_q
-    c = mq.shape[-1]
-    skew = (mq - _adjoint(mq)) * np.tri(c, c, -1) + 1j * np.eye(c) * mq.imag
+    tri, eye = _skew_masks(mq.shape[-1])
+    skew = (mq - _adjoint(mq)) * tri + eye * mq.imag
     # G_x R^H = Q (N - M) + G_Q, solved as R G_x^H = (...)^H
     return _adjoint(np.linalg.solve(r, _adjoint(q @ (skew - mq) + g_q)))
 
@@ -190,6 +201,8 @@ _SEARCH_EVALS = 20
 _STEP_MAX = 1e10
 # iterations after which a row stops by default (L-BFGS-B's default maxiter)
 _ITERATION_CAP = 15000
+# machine epsilon: the curvature test of a new pair and the rounding floor
+_EPS = float(np.finfo(float).eps)
 
 
 def _cubic_terms(sa, fa, da, sb, fb, db):
@@ -355,7 +368,10 @@ def lockstep_lbfgs(fun_and_grad, x0, *, ftol: float, gtol: float,
     tests, those of L-BFGS-B: ||g||_inf <= ``gtol`` ("gtol"), a relative
     reduction (f_old - f) / max(|f_old|, |f|, 1) <= ``ftol`` ("ftol"), or
     ``max_iters`` iterations ("max_iters"; with 0 every row that does not
-    meet the gradient test stops at its start). A line search that takes 20
+    meet the gradient test stops at its start). A new search whose predicted
+    decrease at step 1, -g . d, is at most machine epsilon times |f| cannot
+    resolve a decrease in f; the row stops there ("ftol" too) instead of
+    spending trials on rounding noise. A line search that takes 20
     evaluations, ends without lowering f, or meets a direction that is not
     one of descent stops the row at its last point ("line search",
     ``success`` False). A row's path does not depend on the other rows.
@@ -438,36 +454,48 @@ def lockstep_lbfgs(fun_and_grad, x0, *, ftol: float, gtol: float,
             else:
                 fresh.append(j)
                 # a pair without positive curvature is skipped (L-BFGS-B's rule)
-                if sy > np.finfo(float).eps * -stp[j] * slope0[j]:
+                if sy > _EPS * -stp[j] * slope0[j]:
                     new.append((a, j))
                     new_sy.append(sy)
         if new:
             # the new pair takes the ring's next slot, the oldest pair's once
             # the memory is full; R^-1 of the pairs that stay is R^-1 without
-            # the oldest pair's row and column, the oldest being first in R
+            # the oldest pair's row and column, the oldest being first in R.
+            # Where every live row takes a pair the memory is updated in place.
             pos, rows = (np.array(a) for a in zip(*new))
+            whole = rows.size == len(ids)
             sy, slot, row = np.array(new_sy), head[rows], np.arange(rows.size)
-            ri, s_rows = rinv[rows], s_mem[rows]
+            ri, s_rows, y_new, s_new = ((rinv, s_mem, y, steps[:, None] * d) if whole else
+                                        (rinv[rows], s_mem[rows], y[pos],
+                                         steps[rows, None] * d[rows]))
             ri[row, slot], ri[row, :, slot] = 0.0, 0.0
-            y_new = y[pos]
-            s_rows[row, slot] = steps[rows, None] * d[rows]
+            s_rows[row, slot] = s_new
             col = (ri @ (s_rows @ y_new[..., None]))[..., 0] / -sy[:, None]
             col[row, slot] = 1.0 / sy
             ri[row, :, slot] = col
-            rinv[rows], s_mem[rows] = ri, s_rows
+            if not whole:
+                rinv[rows], s_mem[rows] = ri, s_rows
             y_mem[rows, slot], dsy[rows, slot] = y_new, sy
             head[rows] = (slot + 1) % _LBFGS_MEMORY
             h0[rows] = sy / (y_new * y_new).sum(axis=1)
         if not fresh:
             continue
         # a new direction and line search, first trial step 1, where one
-        # ended; the other rows' directions are computed and dropped
-        d[fresh] = _lbfgs_direction(g, s_mem, y_mem, rinv, dsy, h0)[fresh]
-        slopes = np.sum(g * d, axis=1).tolist()
-        for j in fresh:
-            slope0[j], stp[j], searches[j] = slopes[j], 1.0, _WolfeSearch(f[j], slopes[j], 1.0)
-            if not slopes[j] < 0:
+        # ended; only those rows' directions are computed
+        rows = slice(None) if len(fresh) == len(ids) else np.array(fresh)
+        g_rows = g[rows]
+        d[rows] = d_rows = _lbfgs_direction(g_rows, s_mem[rows], y_mem[rows], rinv[rows],
+                                            dsy[rows], h0[rows])
+        slopes = np.sum(g_rows * d_rows, axis=1).tolist()
+        for j, slope in zip(fresh, slopes):
+            if not slope < 0:
                 ended[j] = _LINE_SEARCH
+            elif -slope <= _EPS * abs(f[j]):
+                # the predicted decrease at step 1 is below the rounding of
+                # f: no trial can resolve a decrease, so f has converged
+                ended[j] = _FTOL
+            else:
+                slope0[j], stp[j], searches[j] = slope, 1.0, _WolfeSearch(f[j], slope, 1.0)
     return (x_out, f_out, np.array(iterations), np.array(evaluations),
             np.array([code in (_GTOL, _FTOL) for code in stop]),
             tuple(_STOPS[code] for code in stop))

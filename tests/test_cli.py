@@ -305,7 +305,7 @@ class TestCli:
                      "--seed", "51"]) == 0
         worst = json.loads(capsys.readouterr().out)["results"]["worst"]
         assert [f"{worst[k]:.1e}" for k in ("homogeneity", "multiplicativity",
-                                            "unit_value")] == ["2.2e-15", "5.5e-14", "2.2e-16"]
+                                            "unit_value")] == ["1.1e-15", "3.5e-14", "2.2e-16"]
 
     @pytest.mark.parametrize("argv, env", [
         ("properties --suite jamio --trials -1", "0"),

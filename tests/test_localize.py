@@ -618,14 +618,25 @@ class TestPolish:
 
     def test_converged_when_a_restart_at_the_best_value_stopped_on_its_test(self):
         # criterion 2's locked state at seed 7: all 64 restarts end within
-        # 1e-12 of 1.9713346288184743; the winner, restart 30, stops on
-        # "line search", other restarts at that value on gtol or ftol
+        # 1e-12 of 1.9713346288184743, four of them on "line search", the
+        # others, the winner (restart 30) among them, on gtol or ftol
         res = optimize_le(build_locked_state().to_density(), entropy_measure(),
                           LEConfig(restarts=64, seed=7))
         assert res.winner == 30
         assert res.value == pytest.approx(1.9713346288184743, abs=1e-12)
         assert np.ptp(res.restart_values) <= 1e-12
         assert res.converged
+
+    def test_converged_at_the_rounding_floor(self):
+        # pure 2 x 2 x 2 states under G: a restart at the top, whose next
+        # search predicts a decrease below the rounding of f, stops on ftol
+        # rather than on a line search that cannot resolve one, so every
+        # result reports converged (a stall on states 0 and 9 read False)
+        dims = DimSpec.make(("A", 2, "A"), ("B", 2, "B"), ("C", 2, "Z"))
+        for i, rng in enumerate(spawn_rngs(17, 12)):
+            res = optimize_le(random_pure(dims, rng).to_density(), gconcurrence_measure(),
+                              LEConfig(restarts=2, max_iters=100, seed=i))
+            assert res.converged, i
 
 
 def test_ascent_transforms_only_the_moved_party(monkeypatch):

@@ -91,6 +91,22 @@ def test_unimprovable_row_stops_after_one_failed_search():
                                                    alone[5][0])
 
 
+def test_row_at_the_rounding_floor_stops_on_ftol():
+    # the first step lands at (0, -5e-10), where |g| = 1e-9 is above gtol
+    # but the next search predicts a decrease of 5e-19 at step 1, below the
+    # rounding of f = 1: the row stops there on "ftol", with no trial of a
+    # search that cannot resolve a decrease
+    def fun_and_grad(x):
+        return 1.0 + np.sum(x * x, axis=1) + 1e-9 * x.sum(axis=1), 2.0 * x + 1e-9
+
+    x, f, iters, evals, success, stop = lockstep_lbfgs(
+        fun_and_grad, np.array([[1.0, 0.0]]), **TIGHT_TOLS)
+    assert (stop[0], bool(success[0]), iters[0], evals[0]) == ("ftol", True, 1, 2)
+    assert np.max(np.abs(fun_and_grad(x)[1])) > TIGHT_TOLS["gtol"]
+    np.testing.assert_allclose(x[0], [0.0, -5e-10], rtol=0, atol=1e-15)
+    assert f[0] == 1.0
+
+
 def test_stationary_start_stops_at_once():
     x0 = np.array([[1.0, 1.0, 1.0], [0.0, 0.5, 0.0]])
     x, f, iters, evals, success, stop = lockstep_lbfgs(rosenbrock, x0, **DEFAULT_TOLS)
