@@ -35,7 +35,6 @@ from .localize import (
     LEResult,
     ProductPOVM,
     average_root_entanglement,
-    grid_oracle_le,
     optimize_le,
 )
 from .protocols import (

@@ -161,8 +161,7 @@ def roof_descent(trials: int, seed: int):
     takes rank + 2 members and the default ``RoofConfig``."""
 
     def descent(rho: DensityOperator) -> float:
-        w = eigen_factor(rho)
-        return _descent(w, w.shape[1] + 2, rho.dims, RoofConfig())[0]
+        return _descent(eigen_factor(rho), rho.dims, RoofConfig())[0]
 
     figures = []
     for rng in spawn_rngs(seed, trials):

@@ -8,9 +8,9 @@ entanglement search), ``protocol`` (evaluate a protocol file), ``reproduce``
 at a chosen seed and trial count), ``emit`` (write catalog states to the JSON
 format).
 
-Exit codes: 0 ok, 1 property violation, 2 bad input (a parse error, a bad
-option value, ``ENTLOC_SEED`` or ``--out`` path, or the entropy root asked to
-score a mixed state), 3 dimension error.
+Exit codes: 0 ok, 1 property violation, 2 bad input (a parse error, a
+non-finite entry, a bad option value, ``ENTLOC_SEED`` or ``--out`` path, or
+the entropy root asked to score a mixed state), 3 dimension error.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_PARSE = 2
 EXIT_DIMENSION = 3
+
+# ghz and w hold 2^n amplitudes: a larger --n is refused before any is allocated
+_MAX_EMIT_QUBITS = 20
 
 # the reproduce table's "kind" of an EoC and of an LE row, by the result's bound
 _EOC_KIND = {"lower": "exact for the two-round protocol; lower bound on EoC",
@@ -201,6 +204,8 @@ def cmd_emit(args) -> int:
     if args.p is not None:
         params["p"] = args.p
     if args.n is not None:
+        if args.n > _MAX_EMIT_QUBITS:
+            raise ParseError(f"--n {args.n} above the cap of {_MAX_EMIT_QUBITS} qubits")
         params["n"] = args.n
     if args.name == "werner" and args.p is None:
         raise ParseError("emit werner needs --p")

@@ -19,9 +19,7 @@ Every branch comes from the state's Jamiolkowski map (``jamiolkowski``), and
 the value ``optimize_le`` reports is the value its search reached. Values
 carry LOWER-bound semantics (the true maximum can only be higher) unless a
 live branch took a convex-roof solve, itself an upper bound; such a value is
-labelled an estimate. ``grid_oracle_le`` is the independent brute-force check
-for a single helper qubit: a Bloch-sphere grid of two-outcome projective
-measurements.
+labelled an estimate.
 """
 
 from __future__ import annotations
@@ -69,6 +67,8 @@ class ProductPOVM:
             if len(out) != len(self.z_labels):
                 raise DimensionError("each outcome needs one factor per helper party")
             for f in out:
+                if not np.all(np.isfinite(f)):
+                    raise ValueError("POVM factor has non-finite entries")
                 if np.max(np.abs(f - f.conj().T)) > 1e-10:
                     raise ValueError("POVM factor not Hermitian")
                 if np.linalg.eigvalsh(f)[0] < -1e-10:
@@ -146,12 +146,11 @@ class LEResult:
 @dataclass(frozen=True)
 class LEConfig:
     """Budget of the LE search: the restarts, each restart's iteration cap
-    (of its L-BFGS descent or its random search), the outcomes per helper
-    party (None: local dimension squared) and the seed."""
+    (of its L-BFGS descent or its random search) and the seed. Each helper
+    party of local dimension d measures d^2 outcomes."""
 
     restarts: int = 16
     max_iters: int = 300
-    outcomes_per_party: int | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -304,11 +303,7 @@ def optimize_le(rho: DensityOperator, measure: RootMeasure,
     if not z_labels:
         raise DimensionError("state has no helper (Z-role) parties")
     z_dims = [rho.dims.dim_of(lab) for lab in z_labels]
-    n_out = [config.outcomes_per_party or d * d for d in z_dims]
-    for k, d in zip(n_out, z_dims):
-        if k < d:
-            raise ValueError(f"outcomes per party must be >= local dimension ({k} < {d})")
-    shapes = list(zip(n_out, z_dims))
+    shapes = [(d * d, d) for d in z_dims]
     evaluator = _FactorEvaluator(rho, measure)
 
     if evaluator.exact_gradient:
@@ -339,28 +334,3 @@ def optimize_le(rho: DensityOperator, measure: RootMeasure,
                     restart_iterations=tuple(int(i) for i in iterations), winner=winner,
                     bound=result.bound)
 
-
-def grid_oracle_le(rho: DensityOperator, measure: RootMeasure,
-                   resolution: int = 64) -> float:
-    """Brute-force LE lower bound for a single helper qubit.
-
-    Scans two-outcome projective measurements over a Bloch-angle grid; this is
-    exhaustive within the projective class at the given resolution and stays
-    independent of the LE optimizer.
-    """
-    z_labels = rho.dims.z_labels
-    if len(z_labels) != 1 or rho.dims.dim_of(z_labels[0]) != 2:
-        raise DimensionError("grid oracle requires exactly one helper qubit")
-    evaluator = _FactorEvaluator(rho, measure)
-    best = -np.inf
-    # resolution counts intervals, so even resolutions sample theta = pi/2 exactly
-    thetas = np.linspace(0.0, np.pi, resolution + 1)
-    phis = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
-    for theta in thetas:
-        c, s = np.cos(theta / 2), np.sin(theta / 2)
-        for phi in phis:
-            up = np.array([c, np.exp(1j * phi) * s])
-            down = np.array([-np.exp(-1j * phi) * s, c])
-            val = evaluator.average([np.vstack([up, down])])
-            best = max(best, val)
-    return float(best)

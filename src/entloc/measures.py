@@ -253,6 +253,8 @@ class Instrument:
             for m in ms:
                 if m.shape != (d, d):
                     raise DimensionError("all Kraus operators must be square of equal size")
+                if not np.all(np.isfinite(m)):
+                    raise ValueError("Kraus operator has non-finite entries")
         total = sum(m.conj().T @ m for ms in outs for m in ms)
         if np.max(np.abs(total - np.eye(d))) > 1e-8:
             raise ValueError("instrument is not trace preserving")

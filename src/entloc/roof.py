@@ -1,22 +1,25 @@
 """Convex-roof extension of the geometric-mean concurrence to mixed states.
 
 The roof value is min sum_i p_i G(psi_i) over decompositions rho = sum_i p_i
-|psi_i><psi_i|. It is exact where a closed form exists: 0 on an unequal cut
-(the zero padding), G of the state on a pure state, and on a 2 x 2 cut, where
-G is the concurrence, Wootters' value with his optimal decomposition
-(``_wootters_ensemble``). Elsewhere (a mixed d x d state, d > 2) it is an
-upper bound from a descent.
+|psi_i><psi_i|. ``measures.RootMeasure.needs_roof`` is the one rule for
+where it has a closed form: 0 on an unequal cut (the zero padding), G of the
+state on a pure state, and on a 2 x 2 cut, where G is the concurrence,
+Wootters' value. Those values come from ``RootMeasure.factor_branches``;
+this module adds only Wootters' optimal decomposition on a mixed 2 x 2 state
+(``_wootters_ensemble``). Elsewhere (a mixed d x d state, d > 2) the value
+is an upper bound from a descent, which does not resolve a roof below about
+4e-6 from 0: that is its floor at the det = 0 cusp.
 
 The descent searches the standard isometry parameterization: with rho =
-W W^dag (W = V sqrt(e), the ``jamiolkowski.eigen_factor`` every closed form
-takes too, r columns), every size-m ensemble arises as |psi~_i> = sum_r
-U_ir w_r for an m x r isometry U. Because G is homogeneous of degree one in
-the density operator, the objective is simply sum_i G(|psi~_i>) on the
-unnormalized vectors, which keeps the search landscape smooth. On a d x d
-cut G(|psi~>) = d |det C|^(2/d) for the d x d coefficient matrix C of
-|psi~>, so the m members are scored as one (m, d, d) stack by one
-determinant call, with no SVD (``measures.smoothed_determinant``, which at
-eps = 0 is the LE's determinant kernel).
+W W^dag (W = V sqrt(e), the ``jamiolkowski.eigen_factor`` in cut order that
+every closed form takes too, r columns), every ensemble of m = r + 2 members
+arises as |psi~_i> = sum_r U_ir w_r for an m x r isometry U. Because G is
+homogeneous of degree one in the density operator, the objective is simply
+sum_i G(|psi~_i>) on the unnormalized vectors, which keeps the search
+landscape smooth. On a d x d cut G(|psi~>) = d |det C|^(2/d) for the d x d
+coefficient matrix C of |psi~>, so the m members are scored as one (m, d, d)
+stack by one determinant call, with no SVD (``measures.smoothed_determinant``,
+which at eps = 0 is the LE's determinant kernel).
 
 The optimizer is a gradient-only multistart over the Gaussian pre-image x of
 the isometry (U = Q of the phase-fixed QR x = Q R; the parameterization of
@@ -47,10 +50,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .jamiolkowski import eigen_factor
-from .measures import _cut_or_default, _takagi_stack, smoothed_determinant
+from .measures import RootMeasure, _cut_or_default, _takagi_stack, smoothed_determinant
 from .sampling import (flatten_complex, lockstep_lbfgs, phase_fixed_qr, phase_fixed_qr_backward,
                        seeded_starts, unflatten_complex)
-from .states import DensityOperator, DimSpec, PureState
+from .states import DensityOperator, DimSpec, PureState, permute_factor
 
 
 # L-BFGS-B's default stop tests: relative reduction of f, largest |gradient|
@@ -66,22 +69,19 @@ _HADAMARD = 0.5 * np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1
 
 @dataclass(frozen=True)
 class RoofConfig:
-    """Knobs of the convex-roof descent; ensemble_size=None means rank + 2.
+    """Knobs of the convex-roof descent: its restarts and their seed.
 
-    The three fields apply only to the descent, which runs on mixed d x d
-    states with d > 2; the closed forms read none of them (an ensemble_size
-    below the state's rank is rejected everywhere).
+    Both apply only to the descent, which runs where ``needs_roof`` says so
+    (mixed d x d states with d > 2) on ensembles of rank + 2 members; the
+    closed forms read neither.
     """
 
-    ensemble_size: int | None = None
     restarts: int = 32
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.ensemble_size is not None and self.ensemble_size < 1:
-            raise ValueError(f"ensemble_size must be >= 1, got {self.ensemble_size}")
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ class DecompositionEnsemble:
     and ``restart_evaluations`` its objective evaluations, summed over its
     polish stages. ``winner`` is the restart with the lowest value, the one
     returned; ``converged`` says whether its last polish stage converged. On
-    every closed form (unequal cut, pure state, 2 x 2 cut) no descent runs:
+    every closed form (where ``needs_roof`` is False) no descent runs:
     ``restart_values`` and ``restart_evaluations`` are empty, ``winner`` is
     None and ``converged`` is True.
     """
@@ -209,11 +209,12 @@ def _wootters_ensemble(w: np.ndarray, dims: DimSpec):
     return conc, DecompositionEnsemble(*_members((y * phases) @ _HADAMARD, dims), conc, True)
 
 
-def _descent(w: np.ndarray, m: int, dims: DimSpec, config: RoofConfig):
-    """The eps-staged multistart descent over m-member ensembles of rho = w w^dag
-    (parties in cut order, a d x d cut): the lowest restart's value, an upper
-    bound to the roof, and its ensemble."""
+def _descent(w: np.ndarray, dims: DimSpec, config: RoofConfig):
+    """The eps-staged multistart descent over (r + 2)-member ensembles of rho =
+    w w^dag (r columns, parties in cut order, a d x d cut): the lowest
+    restart's value, an upper bound to the roof, and its ensemble."""
     d, r = math.isqrt(w.shape[0]), w.shape[1]
+    m = r + 2
 
     def fun_and_grad(flat: np.ndarray, eps: float):
         values, g_x = _objective_and_gradient(unflatten_complex(flat, [(m, r)])[0], w, d, eps)
@@ -247,45 +248,30 @@ def gconcurrence_mixed(rho: DensityOperator, cut=None, config: RoofConfig | None
     """Convex-roof geometric-mean concurrence of a mixed bipartite state.
 
     Returns ``(value, DecompositionEnsemble)``; the ensemble reproduces rho
-    and realizes the returned value: exact on an unequal cut (0), on a pure
-    state and on a 2 x 2 cut (Wootters), an upper bound from the descent
-    elsewhere.
+    and realizes the returned value. rho's ``eigen_factor``, in cut order,
+    takes Wootters' decomposition on a mixed 2 x 2 state; elsewhere, where
+    ``RootMeasure.needs_roof`` is False, the closed form of
+    ``RootMeasure.factor_branches`` with the eigen-ensemble, and otherwise
+    the descent, an upper bound that does not resolve a d > 2 roof below
+    about 4e-6 from 0. Homogeneous of degree one in rho; the zero operator
+    gives 0 and an empty ensemble.
     """
     if config is None:
         config = RoofConfig()
     left, right = _cut_or_default(rho.dims, cut)
-    perm = left + right
-    order = [rho.dims.labels.index(lab) for lab in perm]
-    if order != sorted(order):
-        from .states import permute_parties
-
-        rho = permute_parties(rho, perm)
-    dl = rho.dims.dim_of_labels(left)
-    dr = rho.dims.dim_of_labels(right)
-
-    w = eigen_factor(rho)
-    r = w.shape[1]
-    m = r + 2 if config.ensemble_size is None else config.ensemble_size
-    if m < r:
-        raise ValueError(f"ensemble size {m} below state rank {r}")
-
-    if dl != dr:
-        # zero padding annihilates every pure-state value, so the roof is 0
-        return 0.0, DecompositionEnsemble(*_members(w, rho.dims), 0.0, True)
-
-    if r == 1:
-        psi = PureState(w[:, 0] / np.linalg.norm(w[:, 0]), rho.dims)
-        from .measures import gconcurrence_pure
-
-        val = gconcurrence_pure(psi, (left, right))
-        ens = DecompositionEnsemble(np.array([1.0]), (psi,), val, True)
-        return val, ens
-
-    if dl == 2:
-        return _wootters_ensemble(w, rho.dims)
+    w, dims = permute_factor(eigen_factor(rho), rho.dims, left + right)
+    if w.shape[1] > 1 and dims.dim_of_labels(left) == dims.dim_of_labels(right) == 2:
+        return _wootters_ensemble(w, dims)
+    measure = RootMeasure("gconcurrence")
+    if not measure.needs_roof(dims, (left, right), np.sum(np.abs(w) ** 2, axis=0)):
+        value = 0.0
+        if w.shape[1]:  # the zero operator has no columns
+            p, values, _ = measure.factor_branches(w[None], dims, (left, right))
+            value = float(p[0] * values[0])
+        return value, DecompositionEnsemble(*_members(w, dims), value, True)
     # the eps schedule and the gradient stop test are absolute: descend at
     # unit trace and scale back, so the value is homogeneous in rho
     tr = 1.0 if rho.normalized else rho.trace
-    value, ens = _descent(w / math.sqrt(tr), m, rho.dims, config)
+    value, ens = _descent(w / math.sqrt(tr), dims, config)
     return tr * value, replace(ens, weights=tr * ens.weights, value=tr * value,
                                restart_values=tuple(tr * v for v in ens.restart_values))

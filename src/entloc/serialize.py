@@ -124,7 +124,7 @@ def protocol_from_dict(doc: dict | None) -> ProtocolNode | None:
         return ProtocolNode(party, Instrument(party, outcomes), children)
     except DimensionError:
         raise
-    except ValueError as exc:  # not trace preserving, no Kraus operators, child count
+    except ValueError as exc:  # non-finite, not trace preserving, no Kraus operators, child count
         raise ParseError(f"invalid protocol node: {exc}") from exc
 
 

@@ -272,6 +272,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "trace preserving" in err
 
+    def test_protocol_nan_kraus_entry_exits_2(self, tmp_path, capsys):
+        # a NaN entry passes the trace-preserving test (nan > tol is False)
+        # unless it is rejected on its own
+        state = tmp_path / "ghz.json"
+        proto = tmp_path / "nan.json"
+        save_state(ghz_state(3), state)
+        kraus = [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                 [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [float("nan"), 0.0]]]
+        doc = {"party": "q2", "dim": 2, "instrument": [[k] for k in kraus],
+               "children": [None, None]}
+        proto.write_text(json.dumps(doc))
+        assert main(["protocol", str(state), str(proto)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-finite" in err
+
     def test_le_entropy_on_mixed_state_exits_2(self, tmp_path, capsys):
         dims = DimSpec.make(("A", 2, "A"), ("B", 2, "B"), ("C", 2, "Z"))
         state = tmp_path / "mixed.json"
@@ -332,6 +347,15 @@ class TestCli:
         assert "--p" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
         assert main(["emit", "werner", "--p", "2", "--out", str(tmp_path / "x.json")]) == 2
+
+    @pytest.mark.parametrize("name", ["ghz", "w"])
+    def test_emit_qubit_count_capped(self, name, monkeypatch, tmp_path, capsys):
+        # refused before the catalog builds (and allocates) anything
+        monkeypatch.setattr(cli, "canonical_state", lambda *a, **k: pytest.fail("state built"))
+        out = tmp_path / "big.json"
+        assert main(["emit", name, "--n", "40", "--out", str(out)]) == 2
+        assert "--n 40" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_reproduce_small(self, tmp_path, capsys):
         rc = main(["reproduce", "--restarts", "4", "--seed", "2",

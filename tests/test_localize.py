@@ -16,7 +16,6 @@ from entloc import (
     conditional_state,
     entropy_measure,
     gconcurrence_measure,
-    grid_oracle_le,
     optimize_le,
     schmidt_decompose,
     tensor_product,
@@ -162,6 +161,25 @@ class TestOptimize:
     def test_two_helper_parties(self):
         res = optimize_le(ghz_state(4).to_density(), entropy_measure(), FAST)
         assert res.value >= 1.0 - 1e-5
+
+
+def grid_oracle_le(rho, measure, resolution=64):
+    """Brute-force LE lower bound for a single helper qubit, independent of
+    the LE search: the best average over a Bloch-angle grid of two-outcome
+    projective measurements (resolution counts the theta intervals, so an
+    even one samples theta = pi / 2 exactly)."""
+    z_labels = rho.dims.z_labels
+    if len(z_labels) != 1 or rho.dims.dim_of(z_labels[0]) != 2:
+        raise DimensionError("grid oracle requires exactly one helper qubit")
+    evaluator = _FactorEvaluator(rho, measure)
+    best = -np.inf
+    for theta in np.linspace(0.0, np.pi, resolution + 1):
+        c, s = np.cos(theta / 2), np.sin(theta / 2)
+        for phi in np.linspace(0.0, 2 * np.pi, resolution, endpoint=False):
+            up = np.array([c, np.exp(1j * phi) * s])
+            down = np.array([-np.exp(-1j * phi) * s, c])
+            best = max(best, evaluator.average([np.vstack([up, down])]))
+    return float(best)
 
 
 class TestGridOracle:
@@ -376,8 +394,7 @@ def _reference_ascent(rho, measure, config, tol):
     """The LE random search run one restart at a time, drawing its noise step
     by step; a gain above tol / 10 is taken, one below tol counts as stale."""
     evaluator = _FactorEvaluator(rho, measure)
-    shapes = [(config.outcomes_per_party or d * d, d)
-              for d in (rho.dims.dim_of(lab) for lab in rho.dims.z_labels)]
+    shapes = [(d * d, d) for d in (rho.dims.dim_of(lab) for lab in rho.dims.z_labels)]
 
     def score(params):
         return evaluator.average([phase_fixed_qr(x)[0] for x in params])

@@ -10,6 +10,7 @@ from entloc import (
     wootters_concurrence,
 )
 from entloc.catalog import werner_state
+from entloc.states import permute_parties
 from entloc.roof import (_EPS_SCHEDULE, _POLISH_FTOL, _POLISH_GTOL, _descent, _ensemble_stack,
                          _objective, _objective_and_gradient)
 from entloc.sampling import (lockstep_lbfgs, lockstep_search, phase_fixed_qr, random_density,
@@ -31,16 +32,23 @@ def _descend(rho, config=RoofConfig()):
     members, so that the closed form can check it."""
     if rho.dims.local_dims[0] > 2:
         return gconcurrence_mixed(rho, config=config)
-    w = _ensemble_factor(rho)
-    return _descent(w, w.shape[1] + 2, rho.dims, config)
+    return _descent(_ensemble_factor(rho), rho.dims, config)
 
 
 def test_pure_state_shortcut():
-    psi = random_pure(PAIR, np.random.default_rng(1))
-    value, ens = gconcurrence_mixed(psi.to_density(), config=FAST)
-    assert value == pytest.approx(gconcurrence_pure(psi), abs=1e-8)
-    assert len(ens.states) == 1
-    assert ens.converged
+    # the roof of c |psi><psi| is c G(psi), and its one member rebuilds it
+    for d in (2, 3):
+        spec = DimSpec.make(("A", d, "A"), ("B", d, "B"))
+        psi = random_pure(spec, np.random.default_rng(5))
+        for c in (1.0, 0.5):
+            rho = DensityOperator(c * psi.to_density().matrix, spec, normalized=c == 1.0)
+            value, ens = gconcurrence_mixed(rho, config=FAST)
+            assert value == pytest.approx(c * gconcurrence_pure(psi), abs=1e-12), (d, c)
+            assert len(ens.states) == 1
+            assert ens.converged and ens.value == value
+            member = ens.states[0].amplitudes
+            np.testing.assert_allclose(ens.weights[0] * np.outer(member, member.conj()),
+                                       rho.matrix, atol=1e-12, rtol=0)
 
 
 def test_product_mixture_separable():
@@ -136,8 +144,7 @@ def test_two_qubit_roof_is_wootters_decomposition(name, rotated):
     assert ens.value == value and ens.converged
     assert ens.restart_values == () and ens.winner is None
     # the closed form reads no RoofConfig field
-    other_value, other = gconcurrence_mixed(rho, config=RoofConfig(ensemble_size=7, restarts=3,
-                                                                   seed=5))
+    other_value, other = gconcurrence_mixed(rho, config=RoofConfig(restarts=3, seed=5))
     assert other_value == value
     np.testing.assert_array_equal(other.weights, ens.weights)
     for s1, s2 in zip(ens.states, other.states, strict=True):
@@ -152,10 +159,32 @@ def test_unequal_cut_is_zero():
     np.testing.assert_allclose(ens.reconstruct(spec).matrix, rho.matrix, atol=1e-10)
 
 
-def test_ensemble_size_below_rank_rejected():
-    rho = random_density(PAIR, np.random.default_rng(9), rank=3)
-    with pytest.raises(ValueError):
-        gconcurrence_mixed(rho, config=RoofConfig(ensemble_size=2, restarts=2))
+@pytest.mark.parametrize("d_a,d_b,rank,tol", [
+    (2, 2, 2, 1e-12), (2, 2, 3, 1e-12), (3, 2, 2, 1e-12), (3, 3, 1, 1e-12), (3, 3, 2, 1e-5),
+], ids=["2x2-rank2", "2x2-rank3", "3x2-rank2", "3x3-pure", "3x3-descent"])
+def test_swapped_cut_matches_in_order(d_a, d_b, rank, tol):
+    # the cut (B | A) takes the eigen-factor with its parties swapped; the
+    # closed forms agree to rounding, the descent to its resolution
+    spec = DimSpec.make(("A", d_a, "A"), ("B", d_b, "B"))
+    rho = random_density(spec, np.random.default_rng(40 + rank), rank=rank)
+    config = RoofConfig(restarts=4)
+    value, _ = gconcurrence_mixed(rho, config=config)
+    swapped, ens = gconcurrence_mixed(rho, (("B",), ("A",)), config)
+    assert swapped == pytest.approx(value, abs=tol)
+    # the members are in cut order
+    assert all(s.dims.labels == ("B", "A") for s in ens.states)
+    rebuilt = sum(p * np.outer(s.amplitudes, s.amplitudes.conj())
+                  for p, s in zip(ens.weights, ens.states))
+    np.testing.assert_allclose(rebuilt, permute_parties(rho, ("B", "A")).matrix, atol=1e-10)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_zero_operator_has_zero_roof(d):
+    spec = DimSpec.make(("A", d, "A"), ("B", d, "B"))
+    zero = DensityOperator(np.zeros((d * d, d * d), dtype=complex), spec, normalized=False)
+    value, ens = gconcurrence_mixed(zero, config=FAST)
+    assert value == 0.0 and ens.value == 0.0 and ens.converged
+    assert ens.weights.shape == (0,) and ens.states == ()
 
 
 def test_seed_determinism():
@@ -372,8 +401,7 @@ def test_descent_is_homogeneous_in_the_trace():
             np.testing.assert_allclose(rebuilt, scaled.matrix, atol=1e-10)
 
 
-@pytest.mark.parametrize("fields", [dict(restarts=0), dict(restarts=-1),
-                                    dict(ensemble_size=0), dict(ensemble_size=-2)])
+@pytest.mark.parametrize("fields", [dict(restarts=0), dict(restarts=-1)])
 def test_config_rejects_bad_fields(fields):
     with pytest.raises(ValueError):
         RoofConfig(**fields)
