@@ -21,6 +21,7 @@ from .measures import (
     Instrument,
     RootMeasure,
     concurrence_measure,
+    concurrence_of_assistance,
     entropy_measure,
     entropy_of_entanglement,
     f_factor,

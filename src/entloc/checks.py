@@ -127,7 +127,10 @@ def povm_convexity(trials: int, seed: int):
 def gconcurrence_monotonicity(trials: int, seed: int):
     """The f-factors of a random instrument on A (2-3 outcomes of 1-2 Kraus
     operators) sum to at most one, and the G-rooted LE of a Haar-random
-    2 x 2 x 2 state, a seeded 6-restart search, does not rise under it."""
+    2 x 2 x 2 state does not rise under it. The pure input, and the pure
+    post-measurement states of one-Kraus outcomes, take the LE's closed form
+    (the concurrence of assistance); the mixed post-measurement states of
+    two-Kraus outcomes take a seeded 6-restart search."""
     measure, figures = gconcurrence_measure(), []
     for rng in spawn_rngs(seed, trials):
         psi = random_pure(_QUBITS, rng)

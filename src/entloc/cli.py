@@ -42,7 +42,8 @@ _MAX_EMIT_QUBITS = 20
 # the reproduce table's "kind" of an EoC and of an LE row, by the result's bound
 _EOC_KIND = {"lower": "exact for the two-round protocol; lower bound on EoC",
              "estimate": "estimate (convex-roof leaves)"}
-_LE_KIND = {"lower": "lower bound (search)", "estimate": "estimate (convex-roof branches)"}
+_LE_KIND = {"lower": "lower bound (search)", "estimate": "estimate (convex-roof branches)",
+            "exact": "exact (concurrence of assistance)"}
 
 MEASURES = {
     "entropy": entropy_measure,

@@ -1,10 +1,15 @@
 """Localizable entanglement: the best average root-measure entanglement the
 helper (Z-role) parties can steer onto the A-B pair with a product POVM.
 
-``optimize_le`` searches rank-one product POVMs, each party's outcomes being
-the rows of an isometry Q from the phase-fixed QR of a Gaussian pre-image x,
-from seeded restarts run in lockstep. The input picks the one descent every
-restart runs. Where the branches have a closed-form kernel
+``optimize_le`` has one closed form: with one helper on a pure state with a
+2 x 2 cut, under the concurrence or G, the LE is the concurrence of
+assistance, reached by the projective measurement of d_Z outcomes on the
+helper's Takagi basis (``_takagi_measurement``); its value is exact.
+Everywhere else it searches rank-one product POVMs (``_search``), d^2
+outcomes per helper of dimension d, each party's outcomes being the rows of
+an isometry Q from the phase-fixed QR of a Gaussian pre-image x, from seeded
+restarts run in lockstep. The input picks the one descent every restart
+runs. Where the branches have a closed-form kernel
 (``RootMeasure.kernel``: on a pure state the determinant kernel for
 concurrence and G on an equal cut and the Schmidt kernel otherwise, the
 Takagi kernel for concurrence and G on a mixed 2 x 2 cut) it is
@@ -16,10 +21,10 @@ in one pass. The remaining cases (G on a larger mixed cut, entropy on a
 mixed state) run the random-step search ``sampling.lockstep_search`` alone.
 Every branch comes from the state's Jamiolkowski map (``jamiolkowski``), and
 ``average_root_entanglement`` scores a fixed POVM on the same contraction, so
-the value ``optimize_le`` reports is the value its search reached. Values
-carry LOWER-bound semantics (the true maximum can only be higher) unless a
-live branch took a convex-roof solve, itself an upper bound; such a value is
-labelled an estimate.
+the value ``optimize_le`` reports is the value its search reached. The
+search's values carry LOWER-bound semantics (the true maximum can only be
+higher) unless a live branch took a convex-roof solve, itself an upper
+bound; such a value is labelled an estimate.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jamiolkowski import from_state
-from .measures import RootMeasure
+from .measures import RootMeasure, _takagi_stack, takagi_factorization
 from .sampling import (flatten_complex, lockstep_lbfgs, lockstep_search, phase_fixed_qr,
                        phase_fixed_qr_backward, seeded_starts, unflatten_complex)
 from .states import DensityOperator, DimensionError
@@ -98,15 +103,16 @@ class ProductPOVM:
 class LEResult:
     """Outcome of one average / one LE search.
 
-    ``value`` is the achieved average; for the optimizer it is a lower bound
+    ``value`` is the achieved average; for the search it is a lower bound
     to the true localizable entanglement. ``bound`` says so ("lower") unless
     a live branch took a convex-roof solve (``RootMeasure.factor_branches``),
-    whose value is an upper bound: the average is then an "estimate".
-    ``converged`` is True when a restart within 1e-12 (relative) of the
-    winning value stopped on its test (L-BFGS: gtol or ftol, ftol including
-    a next search whose predicted decrease is below the rounding of f; the
-    search: its step rule), though ``winner`` itself may have stopped on
-    "line search".
+    whose value is an upper bound: the average is then an "estimate". The
+    LE's closed form is "exact", converged, with no restarts and ``winner``
+    None. For the search, ``converged`` is True when a restart within 1e-12
+    (relative) of the winning value stopped on its test (L-BFGS: gtol or
+    ftol, ftol including a next search whose predicted decrease is below the
+    rounding of f; the search: its step rule), though ``winner`` itself may
+    have stopped on "line search".
     """
 
     value: float
@@ -146,8 +152,10 @@ class LEResult:
 @dataclass(frozen=True)
 class LEConfig:
     """Budget of the LE search: the restarts, each restart's iteration cap
-    (of its L-BFGS descent or its random search) and the seed. Each helper
-    party of local dimension d measures d^2 outcomes."""
+    (of its L-BFGS descent or its random search) and the seed. In the search
+    each helper party of local dimension d measures d^2 outcomes. The LE's
+    closed form (one helper on a pure state with a 2 x 2 cut, under the
+    concurrence or G) reads none of them."""
 
     restarts: int = 16
     max_iters: int = 300
@@ -244,6 +252,9 @@ class _FactorEvaluator:
     whether there is one): r = 1 under every root, and r > 1 on a 2 x 2 cut
     under concurrence and G. The remaining cases (G on a larger mixed cut,
     entropy on a mixed state) have values only (``averages``).
+    ``closed_form`` says whether the LE itself has one, the concurrence of
+    assistance: r = 1, one helper party and a 2 x 2 cut, under concurrence
+    or G.
     """
 
     def __init__(self, rho: DensityOperator, measure: RootMeasure):
@@ -257,6 +268,8 @@ class _FactorEvaluator:
         self.measure = measure
         self.kernel = measure.kernel(self.da, self.db, self.r)
         self.exact_gradient = self.kernel is not None
+        self.closed_form = (self.r == 1 and len(dims.z_labels) == 1
+                            and (self.da, self.db) == (2, 2) and measure.kind != "entropy")
 
     def averages(self, isos) -> np.ndarray:
         """Averages of a batch of POVMs, party i's isometries a (R, K_i, d_i)
@@ -289,22 +302,63 @@ class _FactorEvaluator:
 
 def optimize_le(rho: DensityOperator, measure: RootMeasure,
                 config: LEConfig | None = None) -> LEResult:
+    """Localizable entanglement over rank-one product POVMs on the helpers.
+
+    Where the evaluator has a closed form (``closed_form``: one helper on a
+    pure state with a 2 x 2 cut, under concurrence or G) it is the concurrence
+    of assistance, reached by the Takagi-basis measurement of d_Z outcomes
+    (``_takagi_measurement``), and ``config`` is not read. Elsewhere it is
+    the seeded multi-start search (``_search``) on d^2 outcomes per helper
+    of dimension d.
+
+    Returns the value (exact, or a lower bound to the LE unless a branch took
+    a roof solve), together with the realizing POVM, its branch data and, for
+    the search, every restart's final value and iterations.
+    """
+    z_labels = rho.dims.z_labels
+    if not z_labels:
+        raise DimensionError("state has no helper (Z-role) parties")
+    evaluator = _FactorEvaluator(rho, measure)
+    if evaluator.closed_form:
+        return _takagi_measurement(evaluator, z_labels)
+    return _search(rho, evaluator, LEConfig() if config is None else config)
+
+
+def _takagi_measurement(evaluator: _FactorEvaluator, z_labels) -> LEResult:
+    """The LE of one helper on a pure state with a 2 x 2 cut, under the
+    concurrence or G (equal there).
+
+    The helper's measurements realize every pure-state decomposition of
+    rho_AB = M M^dag (Hughston, Jozsa and Wootters), so the LE is the
+    concurrence of assistance (Laustsen, Verstraete and van Enk, QIC 3, 64
+    (2003)): the sum of the Takagi values lam_j of tau = M^T (sy ⊗ sy) M.
+    With tau = Q diag(lam) Q^T (``measures.takagi_factorization``), the
+    projective measurement on the columns q_j of Q has the branch factors
+    M conj(q_j), whose p C is q_j^dag tau conj(q_j) = lam_j. The branches are
+    scored by ``factor_branches`` on the evaluator's ``branch_factors``.
+    """
+    # the (d_Z, 4) rows of the one-column factor are M's columns
+    iso = takagi_factorization(_takagi_stack(evaluator.jam.factor[:, :, 0].T))[1].T
+    p, values, _ = evaluator.measure.factor_branches(
+        evaluator.jam.branch_factors(iso), evaluator.y_dims, evaluator.cut)
+    return LEResult(float(np.dot(p, values)), _povm_from_isometries(z_labels, [iso]),
+                    tuple((float(pk), float(vk)) for pk, vk in zip(p, values)), bound="exact")
+
+
+def _search(rho: DensityOperator, evaluator: _FactorEvaluator, config: LEConfig) -> LEResult:
     """Seeded multi-start search over rank-one product POVMs on the helpers,
-    restarts in lockstep: L-BFGS on the exact gradient where the evaluator
-    has one (``exact_gradient``), the random-step search elsewhere.
+    d^2 outcomes per helper of dimension d, restarts in lockstep: L-BFGS on
+    the exact gradient where the evaluator has one (``exact_gradient``), the
+    random-step search elsewhere.
 
     Returns the best average found (a lower bound to the LE unless a branch
     took a roof solve), together with the realizing POVM, its recomputed
     branch data and every restart's final value and iterations.
     """
-    if config is None:
-        config = LEConfig()
     z_labels = rho.dims.z_labels
-    if not z_labels:
-        raise DimensionError("state has no helper (Z-role) parties")
     z_dims = [rho.dims.dim_of(lab) for lab in z_labels]
     shapes = [(d * d, d) for d in z_dims]
-    evaluator = _FactorEvaluator(rho, measure)
+    measure = evaluator.measure
 
     if evaluator.exact_gradient:
         def fun_and_grad(flat):  # the descent minimizes -average
@@ -333,4 +387,3 @@ def optimize_le(rho: DensityOperator, measure: RootMeasure,
                     restart_values=tuple(float(v) for v in values),
                     restart_iterations=tuple(int(i) for i in iterations), winner=winner,
                     bound=result.bound)
-

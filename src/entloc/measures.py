@@ -18,7 +18,9 @@ for which branches take a kernel; any other branch is scored on the
 Schmidt spectrum of its top singular vector, or, where
 ``RootMeasure.needs_roof`` says so (G of a mixed branch on a cut larger than
 2 x 2), by the convex roof, and ``factor_branches`` reports which branches
-did.
+did. ``takagi_factorization`` is the one Takagi factorization, which both
+Wootters' roof ensemble and the LE's closed form (``localize``) take, and
+``concurrence_of_assistance`` is that closed form's value.
 
 The geometric-mean concurrence for a d x d pure state is
 d * (lambda_0 ... lambda_{d-1})^(1/d) with lambda the squared Schmidt
@@ -36,6 +38,7 @@ from functools import partial
 import numpy as np
 
 from .jamiolkowski import eigen_factor
+from .sampling import phase_fixed_qr
 from .states import (
     DensityOperator,
     DimSpec,
@@ -112,6 +115,34 @@ def _takagi_stack(factors: np.ndarray) -> np.ndarray:
     """Takagi matrices tau_k = F_k^T (sy ⊗ sy) F_k of a (K, 4, r) stack of
     factors of two-qubit operators rho_k = F_k F_k^dag."""
     return np.swapaxes(factors, -1, -2) @ _YY @ factors
+
+
+def takagi_factorization(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Takagi values lam (decreasing, >= 0) and a unitary Q with tau = Q
+    diag(lam) Q^T, for a complex symmetric n x n tau.
+
+    The columns q_j of Q solve tau conj(q_j) = lam_j q_j: they are the
+    eigenvectors [Re q; Im q] of the real symmetric [[Re tau, Im tau],
+    [Im tau, -Re tau]] (spectrum +-lam) for its n largest eigenvalues, made
+    unitary by a phase-fixed QR, which also completes them where lam is 0.
+    """
+    n = tau.shape[-1]
+    s, vecs = np.linalg.eigh(np.block([[tau.real, tau.imag], [tau.imag, -tau.real]]))
+    top = vecs[:, :n - 1:-1]
+    return np.clip(s[:n - 1:-1], 0.0, None), phase_fixed_qr(top[:n] + 1j * top[n:])[0]
+
+
+def concurrence_of_assistance(rho: DensityOperator, cut=None) -> float:
+    """Largest average concurrence over the pure-state decompositions of a
+    two-qubit rho (None: the A|B role cut): the sum of the Takagi values of
+    tau = M^T (sy ⊗ sy) M, M rho's ``eigen_factor`` in cut order (Laustsen,
+    Verstraete and van Enk, QIC 3, 64 (2003)). It is the LE of one helper
+    on a pure state whose A-B marginal is rho; homogeneous of degree one in
+    rho. Any cut other than 2 x 2 raises DimensionError."""
+    left, right = _cut_or_default(rho.dims, cut)
+    factor, dims = permute_factor(eigen_factor(rho), rho.dims, left + right)
+    RootMeasure("concurrence").check_cut(dims.dim_of_labels(left), dims.dim_of_labels(right))
+    return float(np.sum(np.linalg.svd(_takagi_stack(factor), compute_uv=False)))
 
 
 def smoothed_determinant(mats: np.ndarray, eps: float):
@@ -341,9 +372,12 @@ class RootMeasure:
         """p v of one state across the cut (None: the A|B role cut), p its
         kept trace: its ``eigen_factor`` scored as a stack of one, or, where
         ``needs_roof`` says so on the factor's column norms, the convex roof
-        of rho itself. Homogeneous of degree one in rho."""
+        of rho itself. Homogeneous of degree one in rho; the zero operator,
+        whose factor has no columns, gives 0."""
         left, right = _cut_or_default(rho.dims, cut)
         factor, dims = permute_factor(eigen_factor(rho), rho.dims, left + right)
+        if not factor.shape[1]:
+            return 0.0
         if self.needs_roof(dims, (left, right), np.sum(np.abs(factor) ** 2, axis=0)):
             from .roof import gconcurrence_mixed
 

@@ -50,7 +50,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .jamiolkowski import eigen_factor
-from .measures import RootMeasure, _cut_or_default, _takagi_stack, smoothed_determinant
+from .measures import (RootMeasure, _cut_or_default, _takagi_stack, smoothed_determinant,
+                       takagi_factorization)
 from .sampling import (flatten_complex, lockstep_lbfgs, phase_fixed_qr, phase_fixed_qr_backward,
                        seeded_starts, unflatten_complex)
 from .states import DensityOperator, DimSpec, PureState, permute_factor
@@ -106,11 +107,12 @@ class DecompositionEnsemble:
     winner: int | None = None
 
     def reconstruct(self, dims: DimSpec) -> DensityOperator:
-        mat = sum(
-            p * np.outer(s.amplitudes, s.amplitudes.conj())
-            for p, s in zip(self.weights, self.states)
-        )
-        return DensityOperator(mat, dims)
+        """sum_i p_i |psi_i><psi_i| at the trace sum_i p_i that the weights
+        carry: normalized where that is 1, as on a normalized input."""
+        vecs = np.array([s.amplitudes for s in self.states]).reshape(-1, dims.total_dim)
+        trace = float(np.sum(self.weights))
+        return DensityOperator((vecs.T * self.weights) @ vecs.conj(), dims,
+                               normalized=abs(trace - 1.0) <= 1e-10)
 
 
 def _ensemble_stack(x: np.ndarray, w: np.ndarray, d: int):
@@ -185,22 +187,17 @@ def _wootters_ensemble(w: np.ndarray, dims: DimSpec):
     """Wootters' optimal decomposition of a two-qubit rho = w w^dag (parties in
     cut order, up to four columns) and its concurrence, the exact roof.
 
-    The Takagi vectors of tau = w^T (sy x sy) w (Wootters, PRL 80, 2245
-    (1998)) give columns y = w V with y^T (sy x sy) y = diag(lam), lam
-    decreasing. They are the eigenvectors [Re q; Im q] of the real symmetric
-    [[Re tau, Im tau], [Im tau, -Re tau]] (spectrum +-lam) for its four largest
-    eigenvalues, made unitary by a phase-fixed QR, which also completes them
-    where lam is 0. C = lam_1 - lam_2 - lam_3 - lam_4 > 0: phases (1, i, i, i);
+    The Takagi factorization tau = Q diag(lam) Q^T of tau = w^T (sy x sy) w
+    (Wootters, PRL 80, 2245 (1998); ``measures.takagi_factorization``) gives
+    columns y = w conj(Q) with y^T (sy x sy) y = diag(lam), lam decreasing.
+    C = lam_1 - lam_2 - lam_3 - lam_4 > 0: phases (1, i, i, i);
     else phases sqrt(u_j) with sum_j lam_j u_j = 0. Mixing the phased columns
     by the real 4 x 4 Hadamard over 2 gives members z_i with z_i^T (sy x sy) z_i
     = max(0, C) / 4 each and sum_i z_i z_i^dag = rho.
     """
     w = np.pad(w, ((0, 0), (0, 4 - w.shape[1])))
-    tau = _takagi_stack(w)
-    s, vecs = np.linalg.eigh(np.block([[tau.real, tau.imag], [tau.imag, -tau.real]]))
-    lam = np.clip(s[:3:-1], 0.0, None)
-    top = vecs[:, :3:-1]
-    y = w @ phase_fixed_qr(top[:4] + 1j * top[4:])[0].conj()
+    lam, q = takagi_factorization(_takagi_stack(w))
+    y = w @ q.conj()
     conc = float(lam[0] - np.sum(lam[1:]))
     if conc > 0.0:
         phases = np.array([1.0, 1j, 1j, 1j])

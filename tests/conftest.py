@@ -33,3 +33,23 @@ def _central_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
 @pytest.fixture
 def central_gradient():
     return _central_gradient
+
+
+_SIGMA_YY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+
+
+def _assistance_reference(mat: np.ndarray) -> float:
+    """Tr sqrt(sqrt(rho) rho~ sqrt(rho)) of a two-qubit operator, rho~ =
+    (sy ⊗ sy) rho* (sy ⊗ sy), the concurrence of assistance without entloc:
+    the singular values of sqrt(rho) (sy ⊗ sy) sqrt(rho)*, which keep full
+    precision where rho is rank deficient (eigenvalues below 1e-13 of the
+    trace are taken as 0)."""
+    w, v = np.linalg.eigh(0.5 * (mat + mat.conj().T))
+    w = np.where(w > 1e-13 * np.sum(np.abs(w)), w, 0.0)
+    root = (v * np.sqrt(w)) @ v.conj().T
+    return float(np.sum(np.linalg.svd(root @ _SIGMA_YY @ root.conj(), compute_uv=False)))
+
+
+@pytest.fixture
+def assistance_reference():
+    return _assistance_reference

@@ -224,8 +224,9 @@ class TestCli:
             outs.append(json.loads(capsys.readouterr().out)["results"])
         assert outs[0] == outs[1]
 
-    def test_le_payload_byte_identical(self, tmp_path, capsys):
-        dims = DimSpec.make(("A", 2, "A"), ("B", 2, "B"), ("C", 3, "Z"))
+    @staticmethod
+    def _le_payloads(tmp_path, dims) -> list[bytes]:
+        """Two ``entloc le --measure wootters`` payloads of one random pure state."""
         state = tmp_path / "s.json"
         save_state(random_pure(dims, np.random.default_rng(3)), state)
         payloads = []
@@ -234,6 +235,12 @@ class TestCli:
             assert main(["le", str(state), "--measure", "wootters", "--restarts", "2",
                          "--max-iters", "50", "--seed", "7", "--out", str(out)]) == 0
             payloads.append(out.read_bytes())
+        return payloads
+
+    def test_le_payload_byte_identical(self, tmp_path, capsys):
+        # two helpers, so the search runs (one helper takes the closed form)
+        dims = DimSpec.make(("A", 2, "A"), ("B", 2, "B"), ("C", 3, "Z"), ("D", 2, "Z"))
+        payloads = self._le_payloads(tmp_path, dims)
         assert payloads[0] == payloads[1]
         report = json.loads(payloads[0])
         results = report["results"]
@@ -251,6 +258,26 @@ class TestCli:
         assert isinstance(results["converged"], bool)
         assert results["bound"] == "lower"
         assert not any(key.startswith("polish") for key in results)
+
+    def test_le_closed_form_payload_byte_identical(self, tmp_path, capsys,
+                                                   assistance_reference):
+        # one helper on a pure 2 x 2 x 3 state: the concurrence of assistance,
+        # reached by a projective measurement of 3 outcomes, with no search
+        dims = DimSpec.make(("A", 2, "A"), ("B", 2, "B"), ("C", 3, "Z"))
+        payloads = self._le_payloads(tmp_path, dims)
+        assert payloads[0] == payloads[1]
+        report = json.loads(payloads[0])
+        results = report["results"]
+        assert report["config"]["max_iters"] == 50
+        assert (results["bound"], results["converged"], results["winner"]) == ("exact", True, None)
+        assert (results["restart_values"], results["restart_iterations"]) == ([], [])
+        assert (results["iterations"], results["evaluations"]) == (0, 0)
+        assert len(results["povm"]) == len(results["branches"]) == 3
+        m = random_pure(dims, np.random.default_rng(3)).amplitudes.reshape(4, 3)
+        coa = assistance_reference(m @ m.conj().T)
+        assert results["value"] == pytest.approx(coa, abs=1e-12)
+        assert sum(b["p"] * b["branch_value"] for b in results["branches"]) == pytest.approx(
+            results["value"], abs=1e-15)
 
     def test_protocol_command(self, tmp_path, capsys):
         state = tmp_path / "locked.json"

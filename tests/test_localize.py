@@ -11,17 +11,20 @@ from entloc import (
     LEConfig,
     NullBranchError,
     ProductPOVM,
+    PureState,
     average_root_entanglement,
     concurrence_measure,
+    concurrence_of_assistance,
     conditional_state,
     entropy_measure,
     gconcurrence_measure,
     optimize_le,
+    partial_trace,
     schmidt_decompose,
     tensor_product,
 )
 from entloc.catalog import bell_state, build_locked_state, ghz_state, w_state
-from entloc.localize import _FactorEvaluator, _povm_from_isometries
+from entloc.localize import _FactorEvaluator, _povm_from_isometries, _search
 from entloc.sampling import (
     lockstep_search,
     phase_fixed_qr,
@@ -561,9 +564,6 @@ def test_evaluator_gradient_matches_central_differences(seed, case, central_grad
         np.testing.assert_allclose(grads[j], central_gradient(partial, x), atol=1e-8, rtol=0)
 
 
-SIGMA_YY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
-
-
 class TestPolish:
     """The one descent every restart runs: L-BFGS on the exact gradient, or
     the random search where the input has none."""
@@ -571,17 +571,20 @@ class TestPolish:
     @pytest.mark.parametrize("measure", MEASURES[1:], ids=lambda m: m.kind)
     def test_reaches_concurrence_of_assistance(self, measure):
         # one helper on a pure state: the LE is the concurrence of assistance
-        # of rho_AB = M M^dag, the sum of the singular values of M^T (sy ⊗ sy) M
+        # of rho_AB = M M^dag, the sum of the Takagi values of M^T (sy ⊗ sy) M;
+        # optimize_le returns it in closed form, and the search reaches it
         for i, rng in enumerate(spawn_rngs(2025, 20)):
             d_z = 2 + i % 2
             dims = DimSpec.make(("A", 2, "A"), ("B", 2, "B"), ("C", d_z, "Z"))
-            psi = random_pure(dims, rng)
-            m = psi.amplitudes.reshape(4, d_z)
-            coa = np.linalg.svd(m.T @ SIGMA_YY @ m, compute_uv=False).sum()
-            res = optimize_le(psi.to_density(), measure,
-                              LEConfig(restarts=2, max_iters=100, seed=i))
+            rho = random_pure(dims, rng).to_density()
+            coa = concurrence_of_assistance(partial_trace(rho, ("A", "B")))
+            config = LEConfig(restarts=2, max_iters=100, seed=i)
+            assert optimize_le(rho, measure, config).value == pytest.approx(coa, abs=1e-12)
+            res = _search(rho, _FactorEvaluator(rho, measure), config)
             assert coa - 1e-6 <= res.value <= coa + 1e-12
 
+    # the search itself, also where optimize_le takes the closed form (w
+    # concurrence, pure 2x2x3 G)
     DESCENT_CASES = [
         ("ghz entropy", lambda: ghz_state(3).to_density(), entropy_measure()),
         ("w concurrence", lambda: w_state(3).to_density(), concurrence_measure()),
@@ -602,7 +605,7 @@ class TestPolish:
         _, make, measure = case
         rho = make()
         config = LEConfig(restarts=3, max_iters=60, seed=11)
-        res = optimize_le(rho, measure, config)
+        res = _search(rho, _FactorEvaluator(rho, measure), config)
         shapes = [(d * d, d) for d in (rho.dims.dim_of(lab) for lab in rho.dims.z_labels)]
         starts = seeded_starts(config.seed, config.restarts, shapes)[1]
         at_start = _FactorEvaluator(rho, measure).averages([phase_fixed_qr(x)[0] for x in starts])
@@ -616,7 +619,7 @@ class TestPolish:
         _, make, measure = case
         rho = make()
         config = LEConfig(restarts=3, max_iters=60, seed=11)
-        res = optimize_le(rho, measure, config)
+        res = _search(rho, _FactorEvaluator(rho, measure), config)
         exact = _FactorEvaluator(rho, measure).exact_gradient
         assert exact == (measure.kind != "entropy")
         assert len(res.restart_values) == len(res.restart_iterations) == config.restarts
@@ -648,12 +651,149 @@ class TestPolish:
         # pure 2 x 2 x 2 states under G: a restart at the top, whose next
         # search predicts a decrease below the rounding of f, stops on ftol
         # rather than on a line search that cannot resolve one, so every
-        # result reports converged (a stall on states 0 and 9 read False)
+        # result reports converged (a stall on states 0 and 9 read False);
+        # optimize_le takes the closed form here, so the search is run itself
         dims = DimSpec.make(("A", 2, "A"), ("B", 2, "B"), ("C", 2, "Z"))
         for i, rng in enumerate(spawn_rngs(17, 12)):
-            res = optimize_le(random_pure(dims, rng).to_density(), gconcurrence_measure(),
-                              LEConfig(restarts=2, max_iters=100, seed=i))
+            rho = random_pure(dims, rng).to_density()
+            res = _search(rho, _FactorEvaluator(rho, gconcurrence_measure()),
+                          LEConfig(restarts=2, max_iters=100, seed=i))
             assert res.converged, i
+
+
+def _qubit_pair(*helpers):
+    return DimSpec.make(("A", 2, "A"), ("B", 2, "B"),
+                        *[(f"Z{j}", d, "Z") for j, d in enumerate(helpers)])
+
+
+def _product_state(d_z, rng) -> PureState:
+    vec = np.ones(1, dtype=complex)
+    for d in (2, 2, d_z):
+        vec = np.kron(vec, rng.standard_normal(d) + 1j * rng.standard_normal(d))
+    return PureState(vec / np.linalg.norm(vec), _qubit_pair(d_z))
+
+
+# (name, state, root, closed form): optimize_le takes the concurrence of
+# assistance on a pure state with one helper and a 2 x 2 cut, under the
+# concurrence or G, and searches everywhere else
+LE_ROUTES = [
+    ("pure z2 concurrence", random_pure(_qubit_pair(2), np.random.default_rng(80)).to_density(),
+     concurrence_measure(), True),
+    ("pure z3 G", random_pure(_qubit_pair(3), np.random.default_rng(81)).to_density(),
+     gconcurrence_measure(), True),
+    ("pure z5 concurrence", random_pure(_qubit_pair(5), np.random.default_rng(82)).to_density(),
+     concurrence_measure(), True),
+    ("product z3 G", _product_state(3, np.random.default_rng(83)).to_density(),
+     gconcurrence_measure(), True),
+    ("w concurrence", w_state(3).to_density(), concurrence_measure(), True),
+    ("pure z2 entropy", random_pure(_qubit_pair(2), np.random.default_rng(84)).to_density(),
+     entropy_measure(), False),
+    ("pure 3x3 G", random_pure(DimSpec.make(("A", 3, "A"), ("B", 3, "B"), ("C", 2, "Z")),
+                               np.random.default_rng(85)).to_density(),
+     gconcurrence_measure(), False),
+    ("pure 2x3 G", random_pure(DimSpec.make(("A", 2, "A"), ("B", 3, "B"), ("C", 2, "Z")),
+                               np.random.default_rng(86)).to_density(),
+     gconcurrence_measure(), False),
+    ("rank-2 z2 concurrence", random_density(_qubit_pair(2), np.random.default_rng(87), rank=2),
+     concurrence_measure(), False),
+    ("pure z22 G", random_pure(_qubit_pair(2, 2), np.random.default_rng(88)).to_density(),
+     gconcurrence_measure(), False),
+]
+
+
+class TestLERoute:
+    """``_FactorEvaluator.closed_form`` decides, once, whether the LE is the
+    concurrence of assistance or the search's."""
+
+    @pytest.mark.parametrize("case", LE_ROUTES, ids=lambda c: c[0])
+    def test_each_input_takes_one_route(self, case, monkeypatch):
+        import entloc.localize as localize
+
+        _, rho, measure, closed = case
+        assert _FactorEvaluator(rho, measure).closed_form == closed
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(localize, "_search", spy("search", localize._search))
+        monkeypatch.setattr(localize, "takagi_factorization",
+                            spy("takagi", localize.takagi_factorization))
+        config = LEConfig(restarts=2, max_iters=20, seed=3)
+        res = optimize_le(rho, measure, config)
+        assert calls == (["takagi"] if closed else ["search"])
+        if not closed:
+            assert len(res.restart_values) == config.restarts and res.bound == "lower"
+            return
+        # one projective measurement of d_Z outcomes, exact, with no restarts
+        d_z = rho.dims.dim_of(rho.dims.z_labels[0])
+        assert len(res.povm.factors) == len(res.branches) == d_z
+        assert (res.bound, res.converged, res.winner) == ("exact", True, None)
+        assert res.restart_values == res.restart_iterations == ()
+        assert res.iterations == res.evaluations == 0
+        assert res.to_dict("m")["bound"] == "exact"
+        ab = partial_trace(rho, rho.dims.a_labels + rho.dims.b_labels)
+        assert res.value == pytest.approx(concurrence_of_assistance(ab), abs=1e-12)
+        assert res.value == pytest.approx(sum(p * v for p, v in res.branches), abs=1e-15)
+        # the reported POVM gives the reported value as a fixed POVM
+        again = average_root_entanglement(rho, res.povm, measure)
+        assert again.value == pytest.approx(res.value, abs=1e-12)
+
+    def test_closed_form_ignores_the_config(self):
+        rho = LE_ROUTES[1][1]
+        a = optimize_le(rho, gconcurrence_measure(), LEConfig(restarts=1, max_iters=0, seed=1))
+        b = optimize_le(rho, gconcurrence_measure(), LEConfig(restarts=9, max_iters=500, seed=2))
+        assert (a.value, a.branches, a.seed) == (b.value, b.branches, None)
+        for out_a, out_b in zip(a.povm.factors, b.povm.factors):
+            np.testing.assert_array_equal(out_a[0], out_b[0])
+
+
+def _assistance_panel():
+    """(state, root) pairs, one helper on a pure state with a 2 x 2 cut: 160
+    random states with d_Z = 2-5 (tau has rank at most 4, so d_Z = 5 is
+    rank deficient), 20 whose A-B marginal has rank 1 or 2 (tau rank
+    deficient at d_Z = 3-5), 10 products (tau = 0), 10 at trace 0.37, GHZ
+    and W."""
+    roots = (concurrence_measure(), gconcurrence_measure())
+    states = []
+    for i, rng in enumerate(spawn_rngs(2026, 160)):
+        states.append(random_pure(_qubit_pair(2 + i % 4), rng).to_density())
+    for i, rng in enumerate(spawn_rngs(2027, 20)):
+        d_z, k = 3 + i % 3, 1 + i % 2
+        m = ((rng.standard_normal((4, k)) + 1j * rng.standard_normal((4, k)))
+             @ (rng.standard_normal((k, d_z)) + 1j * rng.standard_normal((k, d_z))))
+        states.append(PureState(m.ravel() / np.linalg.norm(m), _qubit_pair(d_z)).to_density())
+    for i, rng in enumerate(spawn_rngs(2028, 10)):
+        states.append(_product_state(2 + i % 4, rng).to_density())
+    for i, rng in enumerate(spawn_rngs(2029, 10)):
+        psi = random_pure(_qubit_pair(2 + i % 4), rng)
+        states.append(DensityOperator(0.37 * psi.to_density().matrix, psi.dims,
+                                      normalized=False))
+    states += [ghz_state(3).to_density(), w_state(3).to_density()]
+    return [(rho, roots[i % 2]) for i, rho in enumerate(states)]
+
+
+def test_closed_form_is_the_concurrence_of_assistance(assistance_reference):
+    # against Tr sqrt(sqrt(rho) rho~ sqrt(rho)) of the A-B marginal, computed
+    # without entloc; the Takagi-basis measurement is complete
+    panel = _assistance_panel()
+    assert len(panel) >= 200
+    worst_value = worst_povm = 0.0
+    for rho, measure in panel:
+        res = optimize_le(rho, measure)
+        ab = partial_trace(rho, rho.dims.a_labels + rho.dims.b_labels)
+        want = assistance_reference(ab.matrix)
+        d_z = rho.dims.dim_of(rho.dims.z_labels[0])
+        total = sum(res.povm.element(k) for k in range(res.povm.n_outcomes))
+        assert res.bound == "exact" and res.povm.n_outcomes == d_z
+        worst_value = max(worst_value, abs(res.value - want),
+                          abs(concurrence_of_assistance(ab) - want))
+        worst_povm = max(worst_povm, float(np.max(np.abs(total - np.eye(d_z)))))
+    assert worst_value <= 1e-12
+    assert worst_povm <= 1e-12
 
 
 def test_ascent_transforms_only_the_moved_party(monkeypatch):

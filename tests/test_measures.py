@@ -14,6 +14,7 @@ from entloc import (
     RoofConfig,
     RootMeasure,
     concurrence_measure,
+    concurrence_of_assistance,
     entropy_measure,
     entropy_of_entanglement,
     f_factor,
@@ -285,6 +286,13 @@ class TestOneRule:
             assert measure.density(scaled) == pytest.approx(
                 c * value, abs=c * (1e-12 if on_roof else 1e-14))
 
+    @pytest.mark.parametrize("kind,d", [("gconcurrence", 3), ("gconcurrence", 4),
+                                        ("gconcurrence", 2), ("concurrence", 2)])
+    def test_zero_operator_scores_zero(self, kind, d):
+        # its eigen-factor has no columns
+        zero = DensityOperator(np.zeros((d * d, d * d)), pair_spec(d, d), normalized=False)
+        assert RootMeasure(kind).density(zero) == 0.0
+
     @pytest.mark.parametrize("tiny", [9e-13, 5e-12, 9e-12])
     def test_one_eigen_cut_on_two_qubits(self, tiny):
         # an eigenvalue below the state's rank cut (1e-11): the roof's closed
@@ -299,6 +307,35 @@ class TestOneRule:
             assert gconcurrence_measure().density(rho) == conc
             worst = max(worst, abs(gconcurrence_mixed(rho)[0] - conc))
         assert worst <= 1e-14
+
+
+class TestConcurrenceOfAssistance:
+    """The largest average concurrence over a two-qubit state's pure-state
+    decompositions, the sum of the Takagi values of its eigen-factor's tau."""
+
+    def test_matches_reference(self, assistance_reference):
+        # ranks 1-4, at trace 1 and 0.37 (homogeneous of degree one)
+        for i, rng in enumerate(spawn_rngs(12, 40)):
+            rho = random_density(pair_spec(2, 2), rng, rank=1 + i % 4)
+            want = assistance_reference(rho.matrix)
+            assert concurrence_of_assistance(rho) == pytest.approx(want, abs=1e-12)
+            scaled = DensityOperator(0.37 * rho.matrix, rho.dims, normalized=False)
+            assert concurrence_of_assistance(scaled) == pytest.approx(0.37 * want, abs=1e-12)
+            swapped = concurrence_of_assistance(rho, (("B",), ("A",)))
+            assert swapped == pytest.approx(want, abs=1e-12)
+            assert concurrence_of_assistance(rho) >= wootters_concurrence(rho) - 1e-12
+
+    def test_known_values(self):
+        assert concurrence_of_assistance(bell_state().to_density()) == pytest.approx(1.0, abs=1e-14)
+        # I/4 is an equal mixture of four Bell states
+        mixed = DensityOperator(np.eye(4) / 4, pair_spec(2, 2))
+        assert concurrence_of_assistance(mixed) == pytest.approx(1.0, abs=1e-14)
+        zero = DensityOperator(np.zeros((4, 4)), pair_spec(2, 2), normalized=False)
+        assert concurrence_of_assistance(zero) == 0.0
+
+    def test_qubit_pair_only(self):
+        with pytest.raises(DimensionError):
+            concurrence_of_assistance(random_density(pair_spec(2, 3), np.random.default_rng(1)))
 
 
 class TestFFactor:

@@ -187,6 +187,27 @@ def test_zero_operator_has_zero_roof(d):
     assert ens.weights.shape == (0,) and ens.states == ()
 
 
+@pytest.mark.parametrize("d,rank,c", [(2, 1, 0.5), (3, 2, 2.0), (3, 2, 1.0)],
+                         ids=["2x2-pure-half", "3x3-descent-double", "3x3-descent-unit"])
+def test_reconstruct_carries_the_trace(d, rank, c):
+    # the ensemble of c rho rebuilds c rho, normalized only where c = 1
+    spec = DimSpec.make(("A", d, "A"), ("B", d, "B"))
+    rho = random_density(spec, np.random.default_rng(60 + d), rank=rank)
+    scaled = DensityOperator(c * rho.matrix, spec, normalized=c == 1.0)
+    _, ens = gconcurrence_mixed(scaled, config=RoofConfig(restarts=2))
+    rebuilt = ens.reconstruct(spec)
+    assert rebuilt.normalized == (c == 1.0)
+    assert rebuilt.trace == pytest.approx(c, abs=1e-12)
+    np.testing.assert_allclose(rebuilt.matrix, scaled.matrix, atol=1e-10, rtol=0)
+
+
+def test_zero_operator_ensemble_rebuilds_zero():
+    spec = DimSpec.make(("A", 3, "A"), ("B", 3, "B"))
+    zero = DensityOperator(np.zeros((9, 9), dtype=complex), spec, normalized=False)
+    rebuilt = gconcurrence_mixed(zero)[1].reconstruct(spec)
+    assert not rebuilt.normalized and not np.any(rebuilt.matrix)
+
+
 def test_seed_determinism():
     rho = random_density(PAIR, np.random.default_rng(10), rank=2)
     v1, _ = _descend(rho, FAST)
