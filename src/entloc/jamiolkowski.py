@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityOperator, DimSpec, DimensionError, NullBranchError, permute_factor
+from .states import (DensityOperator, DimSpec, DimensionError, NullBranchError, PureState,
+                     permute_factor)
 
 # eigenvalues of a state below this are its null space
 _STATE_RANK_TOL = 1e-11
@@ -30,10 +31,17 @@ _STATE_RANK_TOL = 1e-11
 _ELEMENT_RANK_TOL = 1e-12
 
 
-def eigen_factor(rho: DensityOperator) -> np.ndarray:
-    """(d, r) eigen-factor V of rho = V V^dag, in rho's party order: the
-    eigenvectors of the eigenvalues above 1e-11 scaled by their square roots,
-    or the unit state vector when rho is a normalized pure state (r = 1)."""
+def eigen_factor(rho: PureState | DensityOperator) -> np.ndarray:
+    """(d, r) eigen-factor V of rho = V V^dag, in rho's party order.
+
+    A ``PureState`` is its own one-column factor, its amplitudes as they are
+    (no columns when its squared norm is at most 1e-11). An operator's factor
+    is the eigenvectors of the eigenvalues above 1e-11 scaled by their square
+    roots, or the unit state vector when it is a normalized pure state (r = 1).
+    """
+    if isinstance(rho, PureState):
+        vec = rho.amplitudes[:, None]
+        return vec if rho.norm ** 2 > _STATE_RANK_TOL else vec[:, :0]
     evals, evecs = rho.eigensystem()
     live = evals > _STATE_RANK_TOL
     if rho.normalized and np.count_nonzero(live) == 1:
@@ -133,9 +141,10 @@ def from_factor(factor: np.ndarray, dims: DimSpec, y_labels, z_labels,
                            spec.subspec(z_labels), normalized)
 
 
-def from_state(rho: DensityOperator, y_labels=None, z_labels=None) -> JamiolkowskiMap:
+def from_state(rho: PureState | DensityOperator, y_labels=None,
+               z_labels=None) -> JamiolkowskiMap:
     """Build the CP map associated with a state across the Y|Z partition,
-    from its ``eigen_factor``.
+    from its ``eigen_factor`` (a pure state's amplitudes, one column).
 
     Defaults to the role-derived partition of the state's layout.
     """

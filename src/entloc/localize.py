@@ -17,11 +17,15 @@ Takagi kernel for concurrence and G on a mixed 2 x 2 cut) it is
 exact gradient of the branch average (the pattern of Audenaert, Verstraete
 and De Moor, PRA 64, 052304 (2001)), carried back through the row-wise
 Kronecker product of the outcome vectors and the QR to x, for every restart
-in one pass. The remaining cases (G on a larger mixed cut, entropy on a
-mixed state) run the random-step search ``sampling.lockstep_search`` alone.
-Every branch comes from the state's Jamiolkowski map (``jamiolkowski``), and
-``average_root_entanglement`` scores a fixed POVM on the same contraction, so
-the value ``optimize_le`` reports is the value its search reached. The
+in one pass (the helpers' pre-images of one shape in one QR). The remaining
+cases (G on a larger mixed cut, entropy on a mixed state) run the
+random-step search ``sampling.lockstep_search`` alone. Every branch comes
+from the state's Jamiolkowski map (``jamiolkowski``), built once per call
+from its eigen-factor (a ``PureState`` is its own one-column factor): the
+search scores its winner on its own evaluator's branches, so the value
+``optimize_le`` reports is the value its search reached, and
+``average_root_entanglement`` scores a fixed POVM on the same contraction,
+its elements factored by their eigendecomposition. The
 search's values carry LOWER-bound semantics (the true maximum can only be
 higher) unless a live branch took a convex-roof solve, itself an upper
 bound; such a value is labelled an estimate.
@@ -38,7 +42,7 @@ from .jamiolkowski import from_state
 from .measures import RootMeasure, _takagi_stack, takagi_factorization
 from .sampling import (flatten_complex, lockstep_lbfgs, lockstep_search, phase_fixed_qr,
                        phase_fixed_qr_backward, seeded_starts, unflatten_complex)
-from .states import DensityOperator, DimensionError
+from .states import DensityOperator, DimensionError, PureState
 
 # fixed stop tests of the L-BFGS descent: relative reduction, largest |gradient|
 _LBFGS_FTOL, _LBFGS_GTOL = 1e-15, 1e-10
@@ -55,7 +59,9 @@ class ProductPOVM:
 
     ``factors[k][i]`` is the positive operator of outcome k on helper party i
     (party order given by ``z_labels``); the tensor products must sum to the
-    identity.
+    identity. Each party's factors are checked as one (K, d_i, d_i) stack:
+    finite, Hermitian within 1e-10 and no eigenvalue below -1e-10; the
+    products' sum, from one batched Kronecker product, within 1e-8 of I.
     """
 
     z_labels: tuple[str, ...]
@@ -68,20 +74,24 @@ class ProductPOVM:
         object.__setattr__(self, "factors", facs)
         if not facs:
             raise ValueError("POVM needs at least one outcome")
-        for out in facs:
-            if len(out) != len(self.z_labels):
-                raise DimensionError("each outcome needs one factor per helper party")
-            for f in out:
-                if not np.all(np.isfinite(f)):
-                    raise ValueError("POVM factor has non-finite entries")
-                if np.max(np.abs(f - f.conj().T)) > 1e-10:
-                    raise ValueError("POVM factor not Hermitian")
-                if np.linalg.eigvalsh(f)[0] < -1e-10:
-                    raise ValueError("POVM factor not positive semidefinite")
-        total = sum(self.element(k) for k in range(len(facs)))
-        d = total.shape[0]
-        if np.max(np.abs(total - np.eye(d))) > 1e-8:
+        if not self.z_labels:
+            raise DimensionError("POVM needs at least one helper party")
+        if any(len(out) != len(self.z_labels) for out in facs):
+            raise DimensionError("each outcome needs one factor per helper party")
+        stacks = self._party_stacks()
+        if not all(np.all(np.isfinite(s)) for s in stacks):
+            raise ValueError("POVM factor has non-finite entries")
+        if max(np.max(np.abs(s - s.conj().swapaxes(1, 2))) for s in stacks) > 1e-10:
+            raise ValueError("POVM factor not Hermitian")
+        if min(np.min(np.linalg.eigvalsh(s)[:, 0]) for s in stacks) < -1e-10:
+            raise ValueError("POVM factor not positive semidefinite")
+        total = _kron(stacks).sum(axis=0)
+        if np.max(np.abs(total - np.eye(len(total)))) > 1e-8:
             raise ValueError("POVM outcomes do not sum to the identity")
+
+    def _party_stacks(self) -> list[np.ndarray]:
+        """One (K, d_i, d_i) stack of the outcomes' factors per helper party."""
+        return [np.stack(party) for party in zip(*self.factors)]
 
     @property
     def n_outcomes(self) -> int:
@@ -89,10 +99,11 @@ class ProductPOVM:
 
     def element(self, k: int) -> np.ndarray:
         """Full outcome operator on the joint helper space (kron over parties)."""
-        out = self.factors[k][0]
-        for f in self.factors[k][1:]:
-            out = np.kron(out, f)
-        return out
+        return _kron(self.factors[k])
+
+    def elements(self) -> np.ndarray:
+        """(K, D, D) stack of every outcome's ``element``."""
+        return _kron(self._party_stacks())
 
     @staticmethod
     def single_party(label: str, elements) -> "ProductPOVM":
@@ -168,7 +179,7 @@ class LEConfig:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
 
 
-def average_root_entanglement(rho: DensityOperator, povm: ProductPOVM,
+def average_root_entanglement(rho: PureState | DensityOperator, povm: ProductPOVM,
                               measure: RootMeasure) -> LEResult:
     """Average branch entanglement for a fixed product POVM on the helpers.
 
@@ -184,40 +195,51 @@ def average_root_entanglement(rho: DensityOperator, povm: ProductPOVM,
             f"POVM helper labels {povm.z_labels} != state helper labels {rho.dims.z_labels}"
         )
     evaluator = _FactorEvaluator(rho, measure)
-    factors = evaluator.jam.povm_branch_factors(
-        np.stack([povm.element(k) for k in range(povm.n_outcomes)]))
-    p, values, roofed = measure.factor_branches(factors, evaluator.y_dims, evaluator.cut)
-    branches = tuple((float(pk), float(vk)) for pk, vk in zip(p, values))
-    return LEResult(float(np.dot(p, values)), povm, branches,
-                    bound="estimate" if roofed.any() else "lower")
+    return _scored_result(povm, *measure.factor_branches(
+        evaluator.jam.povm_branch_factors(povm.elements()), evaluator.y_dims, evaluator.cut))
+
+
+def _scored_result(povm: ProductPOVM, p: np.ndarray, values: np.ndarray, roofed: np.ndarray,
+                   **fields) -> LEResult:
+    """The LEResult of ``povm`` from its scored branches (``factor_branches``):
+    their average, and the bound "estimate" where a live branch was roofed,
+    "lower" otherwise, unless ``fields`` says otherwise."""
+    fields.setdefault("bound", "estimate" if roofed.any() else "lower")
+    return LEResult(float(np.dot(p, values)), povm,
+                    tuple((float(pk), float(vk)) for pk, vk in zip(p, values)), **fields)
 
 
 # ---------------------------------------------------------------------------
 # optimizer internals
 
 
-def _outcome_vectors(isos) -> np.ndarray:
-    """Row-wise Kronecker product of the per-party isometries, batched over
-    any leading axes.
+def _kron(mats) -> np.ndarray:
+    """Kronecker product of the last two axes of ``mats``, batched over any
+    leading axes.
 
-    Row k is the joint helper vector of outcome k, with outcomes in
-    ``np.ndindex`` order over the parties (the last party varies fastest).
+    On the per-party isometries, row k is the joint helper vector of outcome
+    k, with outcomes in ``np.ndindex`` order over the parties (the last party
+    varies fastest); on the per-party stacks of a ``ProductPOVM``, entry k is
+    outcome k's element.
     """
-    out = isos[0]
-    for v in isos[1:]:
+    out = mats[0]
+    for v in mats[1:]:
         out = (out[..., :, None, :, None] * v[..., None, :, None, :]).reshape(
             out.shape[:-2] + (out.shape[-2] * v.shape[-2], out.shape[-1] * v.shape[-1]))
     return out
 
 
-def _outcome_vectors_backward(isos, g_w: np.ndarray) -> list[np.ndarray]:
-    """Per-party gradients from the gradient of ``_outcome_vectors(isos)``,
-    batched over any leading axes.
+def _kron_backward(isos, g_w: np.ndarray) -> list[np.ndarray]:
+    """Per-party gradients from the gradient of ``_kron(isos)``, batched over
+    any leading axes.
 
     Gradients are complex, G = df/dRe + i df/dIm of a real f; party j's is
-    G_W contracted with the conjugates of every other party's isometry.
+    G_W contracted with the conjugates of every other party's isometry (with
+    one party, G_W itself).
     """
     n = len(isos)
+    if n == 1:
+        return [g_w]
     ks, zs = string.ascii_lowercase[:n], string.ascii_uppercase[:n]
     g = g_w.reshape(g_w.shape[:-2] + tuple(v.shape[-2] for v in isos)
                     + tuple(v.shape[-1] for v in isos))
@@ -231,13 +253,36 @@ def _outcome_vectors_backward(isos, g_w: np.ndarray) -> list[np.ndarray]:
 
 
 def _povm_from_isometries(z_labels, isos) -> ProductPOVM:
-    per_party = [
-        [np.outer(v[k, :], v[k, :].conj()) for k in range(v.shape[0])] for v in isos
-    ]
-    factors = []
-    for combo in np.ndindex(*[len(e) for e in per_party]):
-        factors.append(tuple(per_party[i][c] for i, c in enumerate(combo)))
-    return ProductPOVM(tuple(z_labels), tuple(factors))
+    """The rank-one product POVM whose party-i factors are the projectors on
+    the rows of isometry i, outcomes in ``_kron`` order."""
+    per_party = [v[:, :, None] * v[:, None, :].conj() for v in isos]
+    return ProductPOVM(tuple(z_labels), tuple(
+        tuple(e[c] for e, c in zip(per_party, combo))
+        for combo in np.ndindex(*[len(v) for v in isos])))
+
+
+def _shape_groups(arrays) -> list[list[int]]:
+    """Indices of each group of equal-shaped ``arrays``, in order of first
+    appearance."""
+    groups: dict[tuple, list[int]] = {}
+    for i, a in enumerate(arrays):
+        groups.setdefault(a.shape, []).append(i)
+    return list(groups.values())
+
+
+def _stacked(arrays, idx: list[int]) -> np.ndarray:
+    """``arrays[i]`` for i in ``idx`` stacked on a new leading axis; a lone
+    array as it is."""
+    return arrays[idx[0]] if len(idx) == 1 else np.stack([arrays[i] for i in idx])
+
+
+def _unstacked(groups, stacks, n: int) -> list[np.ndarray]:
+    """The n arrays of the ``_stacked`` groups, back in index order."""
+    out = [None] * n
+    for idx, stack in zip(groups, stacks):
+        for i, a in zip(idx, [stack] if len(idx) == 1 else stack):
+            out[i] = a
+    return out
 
 
 class _FactorEvaluator:
@@ -257,7 +302,7 @@ class _FactorEvaluator:
     or G.
     """
 
-    def __init__(self, rho: DensityOperator, measure: RootMeasure):
+    def __init__(self, rho: PureState | DensityOperator, measure: RootMeasure):
         dims = rho.dims
         dims.require_bipartite_roles()
         a, b = self.cut = dims.a_labels, dims.b_labels
@@ -271,12 +316,17 @@ class _FactorEvaluator:
         self.closed_form = (self.r == 1 and len(dims.z_labels) == 1
                             and (self.da, self.db) == (2, 2) and measure.kind != "entropy")
 
+    def branches(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(probabilities, values, roofed) of the branches of a (K, d_Z) stack
+        of outcome vectors, by ``RootMeasure.factor_branches``."""
+        return self.measure.factor_branches(self.jam.branch_factors(w), self.y_dims, self.cut)
+
     def averages(self, isos) -> np.ndarray:
         """Averages of a batch of POVMs, party i's isometries a (R, K_i, d_i)
         stack: all R K branches are scored in one call."""
-        w = _outcome_vectors(isos)
-        p, values, _ = (a.reshape(w.shape[:2]) for a in self.measure.factor_branches(
-            self.jam.branch_factors(w.reshape(-1, w.shape[-1])), self.y_dims, self.cut))
+        w = _kron(isos)
+        p, values, _ = (a.reshape(w.shape[:2])
+                        for a in self.branches(w.reshape(-1, w.shape[-1])))
         # row-by-column products: numpy's dot, one per restart
         return (p[:, None, :] @ values[:, :, None])[:, 0, 0]
 
@@ -288,19 +338,22 @@ class _FactorEvaluator:
         helper party, batched over the leading axes) and their gradients with
         respect to each, G = df/dRe x + i df/dIm x: through the branch
         factors, the outcome vectors and the phase-fixed QR, each step one
-        call for the whole batch."""
-        qrs = [phase_fixed_qr(x) for x in params]
-        isos = [q for q, _ in qrs]
-        w = _outcome_vectors(isos)
+        call for the whole batch, the parties' pre-images of one shape
+        stacked into one QR and one QR backward."""
+        groups = _shape_groups(params)
+        qrs = [phase_fixed_qr(_stacked(params, idx)) for idx in groups]
+        isos = _unstacked(groups, [q for q, _ in qrs], len(params))
+        w = _kron(isos)
         _, values, g_f = self.kernel(self.jam.branch_factors(w.reshape(-1, w.shape[-1])))
         g_w = g_f.reshape(w.shape[:-1] + (-1,)).conj() @ self.jam.factor.reshape(
             self.jam.d_z, -1).T
-        return values.reshape(w.shape[:-1]).sum(axis=-1), [
-            phase_fixed_qr_backward(q, r, g)
-            for (q, r), g in zip(qrs, _outcome_vectors_backward(isos, g_w))]
+        g_isos = _kron_backward(isos, g_w)
+        return values.reshape(w.shape[:-1]).sum(axis=-1), _unstacked(groups, [
+            phase_fixed_qr_backward(q, r, _stacked(g_isos, idx))
+            for idx, (q, r) in zip(groups, qrs)], len(params))
 
 
-def optimize_le(rho: DensityOperator, measure: RootMeasure,
+def optimize_le(rho: PureState | DensityOperator, measure: RootMeasure,
                 config: LEConfig | None = None) -> LEResult:
     """Localizable entanglement over rank-one product POVMs on the helpers.
 
@@ -339,26 +392,25 @@ def _takagi_measurement(evaluator: _FactorEvaluator, z_labels) -> LEResult:
     """
     # the (d_Z, 4) rows of the one-column factor are M's columns
     iso = takagi_factorization(_takagi_stack(evaluator.jam.factor[:, :, 0].T))[1].T
-    p, values, _ = evaluator.measure.factor_branches(
-        evaluator.jam.branch_factors(iso), evaluator.y_dims, evaluator.cut)
-    return LEResult(float(np.dot(p, values)), _povm_from_isometries(z_labels, [iso]),
-                    tuple((float(pk), float(vk)) for pk, vk in zip(p, values)), bound="exact")
+    return _scored_result(_povm_from_isometries(z_labels, [iso]), *evaluator.branches(iso),
+                          bound="exact")
 
 
-def _search(rho: DensityOperator, evaluator: _FactorEvaluator, config: LEConfig) -> LEResult:
+def _search(rho: PureState | DensityOperator, evaluator: _FactorEvaluator,
+            config: LEConfig) -> LEResult:
     """Seeded multi-start search over rank-one product POVMs on the helpers,
     d^2 outcomes per helper of dimension d, restarts in lockstep: L-BFGS on
     the exact gradient where the evaluator has one (``exact_gradient``), the
     random-step search elsewhere.
 
     Returns the best average found (a lower bound to the LE unless a branch
-    took a roof solve), together with the realizing POVM, its recomputed
-    branch data and every restart's final value and iterations.
+    took a roof solve), together with the realizing POVM, the winner's
+    branches scored once more on the evaluator (``branches``) and every
+    restart's final value and iterations.
     """
     z_labels = rho.dims.z_labels
     z_dims = [rho.dims.dim_of(lab) for lab in z_labels]
     shapes = [(d * d, d) for d in z_dims]
-    measure = evaluator.measure
 
     if evaluator.exact_gradient:
         def fun_and_grad(flat):  # the descent minimizes -average
@@ -378,12 +430,10 @@ def _search(rho: DensityOperator, evaluator: _FactorEvaluator, config: LEConfig)
     winner = int(np.argmax(values))  # the first restart with the best value
     reached = np.abs(values - values[winner]) <= _SAME_VALUE * abs(values[winner])
 
-    povm = _povm_from_isometries(z_labels, [phase_fixed_qr(x[winner])[0] for x in params])
-    result = average_root_entanglement(rho, povm, measure)
-    return LEResult(result.value, povm, result.branches,
-                    converged=bool(np.any(np.asarray(flags)[reached])),
-                    seed=config.seed, iterations=int(np.sum(iterations)),
-                    evaluations=evaluations,
-                    restart_values=tuple(float(v) for v in values),
-                    restart_iterations=tuple(int(i) for i in iterations), winner=winner,
-                    bound=result.bound)
+    isos = [phase_fixed_qr(x[winner])[0] for x in params]
+    return _scored_result(_povm_from_isometries(z_labels, isos), *evaluator.branches(_kron(isos)),
+                          converged=bool(np.any(np.asarray(flags)[reached])),
+                          seed=config.seed, iterations=int(np.sum(iterations)),
+                          evaluations=evaluations,
+                          restart_values=tuple(float(v) for v in values),
+                          restart_iterations=tuple(int(i) for i in iterations), winner=winner)

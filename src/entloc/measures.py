@@ -368,7 +368,7 @@ class RootMeasure:
                                  axis=-1) > 1
         return mixed & (self.kind == "gconcurrence" and d == dims.dim_of_labels(right) > 2)
 
-    def density(self, rho: DensityOperator, cut=None) -> float:
+    def density(self, rho: PureState | DensityOperator, cut=None) -> float:
         """p v of one state across the cut (None: the A|B role cut), p its
         kept trace: its ``eigen_factor`` scored as a stack of one, or, where
         ``needs_roof`` says so on the factor's column norms, the convex roof

@@ -25,7 +25,7 @@ from .catalog import LockedStateSpec
 from .jamiolkowski import eigen_factor, from_factor
 from .localize import LEConfig, ProductPOVM, average_root_entanglement, optimize_le
 from .measures import NULL_BRANCH_TOL, Instrument, RootMeasure
-from .states import DensityOperator, DimensionError, DimSpec, permute_factor
+from .states import DensityOperator, DimensionError, DimSpec, PureState, permute_factor
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def _apply_kraus(factor: np.ndarray, kraus, axis: int, dims: DimSpec) -> np.ndar
     return np.moveaxis(out, (0, 1), (-1, axis)).reshape(len(factor), -1)
 
 
-def evaluate_protocol(rho: DensityOperator, root: ProtocolNode | None,
+def evaluate_protocol(rho: PureState | DensityOperator, root: ProtocolNode | None,
                       measure: RootMeasure) -> ProtocolResult:
     """Depth-first branch evolution of the protocol tree on the shared state.
 
@@ -124,7 +124,7 @@ def evaluate_protocol(rho: DensityOperator, root: ProtocolNode | None,
                           "estimate" if any(roofed) else "lower")
 
 
-def apply_instrument(rho: DensityOperator, instrument: Instrument):
+def apply_instrument(rho: PureState | DensityOperator, instrument: Instrument):
     """Outcome list [(q_j, normalized post state F F^dag / q_j)] of one local
     instrument, F the one-sided map of the state's ``eigen_factor``."""
     axis = _party_axis(rho.dims, instrument)

@@ -288,6 +288,36 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["results"]["average"] == pytest.approx(2.0, abs=1e-9)
 
+    def test_pure_file_is_used_as_a_vector(self, tmp_path, capsys, monkeypatch):
+        # le, protocol and measure take a pure state file as its vector: no
+        # dense operator is eigendecomposed, and the numbers match the dense path
+        state, proto, bell = (tmp_path / name for name in ("locked.json", "proto.json",
+                                                           "bell.json"))
+        save_state(build_locked_state(), state)
+        save_protocol(locked_state_protocol(), proto)
+        save_state(bell_state(), bell)
+        runs = (["le", str(state), "--restarts", "2", "--max-iters", "10", "--seed", "3"],
+                ["protocol", str(state), str(proto)],
+                ["measure", str(bell), "--measure", "gconc"])
+        reports = []
+        with monkeypatch.context() as patch:
+            def refuse(self):
+                raise AssertionError("a pure input was eigendecomposed")
+
+            patch.setattr(entloc.DensityOperator, "eigensystem", refuse)
+            for argv in runs:
+                assert main(argv) == 0
+                reports.append(json.loads(capsys.readouterr().out)["results"])
+        locked = build_locked_state().to_density()
+        le = entloc.optimize_le(locked, entloc.entropy_measure(),
+                                entloc.LEConfig(restarts=2, max_iters=10, seed=3))
+        assert reports[0]["value"] == pytest.approx(le.value, rel=1e-12, abs=0)
+        assert reports[0]["bound"] == le.bound
+        eoc = entloc.evaluate_protocol(locked, locked_state_protocol(), entloc.entropy_measure())
+        assert reports[1]["average"] == pytest.approx(eoc.average, rel=1e-12, abs=0)
+        assert reports[1]["bound"] == eoc.bound
+        assert reports[2]["value"] == pytest.approx(1.0, abs=1e-12)
+
     def test_protocol_not_trace_preserving_exits_2(self, tmp_path, capsys):
         state = tmp_path / "locked.json"
         proto = tmp_path / "bad.json"

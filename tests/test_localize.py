@@ -8,6 +8,7 @@ from entloc import (
     DimSpec,
     DensityOperator,
     DimensionError,
+    Instrument,
     LEConfig,
     NullBranchError,
     ProductPOVM,
@@ -24,11 +25,15 @@ from entloc import (
     tensor_product,
 )
 from entloc.catalog import bell_state, build_locked_state, ghz_state, w_state
-from entloc.localize import _FactorEvaluator, _povm_from_isometries, _search
+from entloc.jamiolkowski import from_state
+from entloc.localize import _FactorEvaluator, _kron, _povm_from_isometries, _search
+from entloc.protocols import apply_instrument, evaluate_protocol, locked_state_protocol
 from entloc.sampling import (
     lockstep_search,
     phase_fixed_qr,
+    phase_fixed_qr_backward,
     random_density,
+    random_instrument,
     random_povm,
     random_pure,
     seeded_starts,
@@ -65,6 +70,77 @@ class TestProductPOVM:
         ))
         assert povm.n_outcomes == 4
         np.testing.assert_allclose(povm.element(0), np.diag([1.0, 0, 0, 0]), atol=1e-14)
+        np.testing.assert_array_equal(povm.elements(),
+                                      [povm.element(k) for k in range(povm.n_outcomes)])
+
+    @staticmethod
+    def _two_party_factors():
+        """(outcome, factor) lists of a valid POVM on C (computational
+        projectors) and D (a rank-one trine of a random isometry), outcomes
+        in (C, D) order: six outcomes, each factor its own array."""
+        rows = np.linalg.qr(np.random.default_rng(7).standard_normal((3, 2))
+                            + 1j * np.random.default_rng(8).standard_normal((3, 2)))[0]
+        trine = [np.outer(v, v.conj()) for v in rows]
+        return [[c.copy(), t.copy()] for c in (P0, P1) for t in trine]
+
+    @staticmethod
+    def _bump(delta, outcome, party, entry):
+        def edit(factors):
+            factors[outcome][party][entry] += delta
+        return edit
+
+    @staticmethod
+    def _negative_in_the_middle(factors):
+        # outcome 3 of 6: C's factor P1 gains the eigenvalue -2e-10 on |0>
+        factors[3][0] = P1 - 2e-10 * P0
+
+    @staticmethod
+    def _complete_off_by(delta):
+        def edit(factors):
+            # C's P0 on every outcome with C outcome 0: the sum is off by delta P0 ⊗ I
+            for out in factors[:3]:
+                out[0] = (1 + delta) * P0
+        return edit
+
+    @staticmethod
+    def _missing_factor(factors):
+        factors[2] = factors[2][:1]
+
+    @staticmethod
+    def _non_finite(factors):
+        factors[1][1][0, 0] = np.nan
+
+    REJECTED = [
+        ("non-finite entry", "_non_finite", ValueError, "POVM factor has non-finite entries"),
+        ("non-Hermitian 2e-10", (2e-10, 5, 1, (0, 1)), ValueError, "POVM factor not Hermitian"),
+        ("eigenvalue -2e-10", "_negative_in_the_middle", ValueError,
+         "POVM factor not positive semidefinite"),
+        ("completeness 2e-8", 2e-8, ValueError, "POVM outcomes do not sum to the identity"),
+        ("missing factor", "_missing_factor", DimensionError,
+         "each outcome needs one factor per helper party"),
+    ]
+    ACCEPTED = [("Hermiticity 5e-11", (5e-11, 5, 1, (0, 1))), ("completeness 5e-9", 5e-9)]
+
+    def _edited(self, fault):
+        factors = self._two_party_factors()
+        if isinstance(fault, str):
+            getattr(self, fault)(factors)
+        elif isinstance(fault, tuple):
+            self._bump(*fault)(factors)
+        else:
+            self._complete_off_by(fault)(factors)
+        return ("C", "D"), tuple(tuple(out) for out in factors)
+
+    @pytest.mark.parametrize("case", REJECTED, ids=lambda c: c[0])
+    def test_rejects(self, case):
+        _, fault, error, message = case
+        with pytest.raises(error) as info:
+            ProductPOVM(*self._edited(fault))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("case", ACCEPTED, ids=lambda c: c[0])
+    def test_accepts_within_tolerance(self, case):
+        assert ProductPOVM(*self._edited(case[1])).n_outcomes == 6
 
 
 class TestAverage:
@@ -892,3 +968,167 @@ class TestBoundLabel:
         rho = random_density(dims, np.random.default_rng(6), rank=3)
         res = optimize_le(rho, gconcurrence_measure(), LEConfig(restarts=2, max_iters=20))
         assert res.bound == "lower"
+
+
+# ---------------------------------------------------------------------------
+# a pure input is its own one-column factor
+
+PURE_INPUTS = [
+    ("2x2x2 G closed form", _qubit_pair(2), gconcurrence_measure()),
+    ("2x2x3 G closed form", _qubit_pair(3), gconcurrence_measure()),
+    ("2x2x2 entropy", _qubit_pair(2), entropy_measure()),
+    ("2x2x3 entropy", _qubit_pair(3), entropy_measure()),
+    ("2x2x2x2 G", _qubit_pair(2, 2), gconcurrence_measure()),
+    ("2x2x2x2 entropy", _qubit_pair(2, 2), entropy_measure()),
+]
+# a short budget: on a flat landscape (entropy, a qutrit helper) restarts far
+# from their stop amplify the two inputs' rounding past 1e-12
+PURE_BUDGET = LEConfig(restarts=2, max_iters=20, seed=4)
+
+
+class TestPureInput:
+    """Every LE entry point takes a ``PureState`` as its own one-column
+    factor and agrees with its ``to_density()`` path."""
+
+    @pytest.mark.parametrize("seed,case", list(enumerate(PURE_INPUTS)),
+                             ids=[c[0] for c in PURE_INPUTS])
+    def test_matches_the_density_path(self, seed, case):
+        name, dims, measure = case
+        rng = np.random.default_rng(600 + seed)
+        psi = random_pure(dims, rng)
+        rho = psi.to_density()
+        a, b = optimize_le(psi, measure, PURE_BUDGET), optimize_le(rho, measure, PURE_BUDGET)
+        assert a.bound == b.bound == ("exact" if "closed" in name else "lower")
+        assert a.value == pytest.approx(b.value, rel=1e-12, abs=0)
+        fixed = [average_root_entanglement(state, b.povm, measure) for state in (psi, rho)]
+        assert fixed[0].bound == fixed[1].bound
+        assert fixed[0].value == pytest.approx(fixed[1].value, rel=1e-12, abs=0)
+        np.testing.assert_allclose(from_state(psi).reconstruct().matrix,
+                                   from_state(rho).reconstruct().matrix, rtol=0, atol=1e-12)
+        ab = dims.a_labels + dims.b_labels
+        assert measure.density(psi, (ab[:1], ab[1:] + dims.z_labels)) == pytest.approx(
+            measure.density(rho, (ab[:1], ab[1:] + dims.z_labels)), rel=1e-12, abs=0)
+        inst = Instrument("A", tuple(tuple(ms) for ms in random_instrument(2, 2, [1, 2], rng)))
+        for (q_a, post_a), (q_b, post_b) in zip(apply_instrument(psi, inst),
+                                                apply_instrument(rho, inst)):
+            assert q_a == pytest.approx(q_b, rel=1e-12, abs=0)
+            np.testing.assert_allclose(post_a.matrix, post_b.matrix, rtol=0, atol=1e-12)
+
+    def test_locked_state_and_its_protocol(self):
+        psi = build_locked_state()
+        rho = psi.to_density()
+        for measure in (entropy_measure(), gconcurrence_measure()):
+            a, b = (evaluate_protocol(state, locked_state_protocol(), measure)
+                    for state in (psi, rho))
+            assert a.bound == b.bound
+            assert a.average == pytest.approx(b.average, rel=1e-12, abs=0)
+            for (p_a, v_a, path_a), (p_b, v_b, path_b) in zip(a.leaves, b.leaves, strict=True):
+                assert path_a == path_b
+                assert (p_a, v_a) == pytest.approx((p_b, v_b), rel=1e-12, abs=0)
+        a, b = (optimize_le(state, entropy_measure(), PURE_BUDGET) for state in (psi, rho))
+        assert a.bound == b.bound == "lower"
+        assert a.value == pytest.approx(b.value, rel=1e-12, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# one stacked isometry pass per round
+
+
+def _per_party_average_and_gradient(evaluator, params):
+    """``average_and_gradient`` one party at a time: a QR and a QR backward
+    per party, each party's gradient of the outcome vectors by its own
+    einsum."""
+    import string
+
+    qrs = [phase_fixed_qr(x) for x in params]
+    isos = [q for q, _ in qrs]
+    w = _kron(isos)
+    _, values, g_f = evaluator.kernel(evaluator.jam.branch_factors(w.reshape(-1, w.shape[-1])))
+    g_w = g_f.reshape(w.shape[:-1] + (-1,)).conj() @ evaluator.jam.factor.reshape(
+        evaluator.jam.d_z, -1).T
+    n = len(isos)
+    ks, zs = string.ascii_lowercase[:n], string.ascii_uppercase[:n]
+    g = g_w.reshape(g_w.shape[:-2] + tuple(v.shape[-2] for v in isos)
+                    + tuple(v.shape[-1] for v in isos))
+    grads = []
+    for j in range(n):
+        others = [i for i in range(n) if i != j]
+        spec = ("..." + ks + zs + "".join(f",...{ks[i]}{zs[i]}" for i in others)
+                + f"->...{ks[j]}{zs[j]}")
+        grads.append(np.einsum(spec, g, *[isos[i].conj() for i in others]))
+    return values.reshape(w.shape[:-1]).sum(axis=-1), [
+        phase_fixed_qr_backward(q, r, gj) for (q, r), gj in zip(qrs, grads)]
+
+
+@pytest.mark.parametrize("helpers", [(2, 2), (2, 2, 2), (3, 3), (2, 3)],
+                         ids=lambda h: "z" + "".join(map(str, h)))
+@pytest.mark.parametrize("rank,measure", [(1, gconcurrence_measure()), (1, entropy_measure()),
+                                          (2, concurrence_measure())],
+                         ids=["pure-G", "pure-entropy", "rank2-concurrence"])
+def test_stacked_pass_matches_each_party(helpers, rank, measure):
+    rng = np.random.default_rng(70 + len(helpers) + rank)
+    evaluator = _FactorEvaluator(random_density(_qubit_pair(*helpers), rng, rank=rank), measure)
+    params = [rng.standard_normal((3, d * d, d)) + 1j * rng.standard_normal((3, d * d, d))
+              for d in helpers]
+    values, grads = evaluator.average_and_gradient(params)
+    want_values, want_grads = _per_party_average_and_gradient(evaluator, params)
+    np.testing.assert_allclose(values, want_values, rtol=1e-14, atol=0)
+    for g, want in zip(grads, want_grads, strict=True):
+        np.testing.assert_allclose(g, want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))
+
+
+def test_three_helper_gradient_matches_central_differences(central_gradient):
+    rng = np.random.default_rng(77)
+    evaluator = _FactorEvaluator(random_pure(_qubit_pair(2, 2, 2), rng), gconcurrence_measure())
+    params = [rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)) for _ in range(3)]
+
+    def average(xs):
+        return evaluator.average([phase_fixed_qr(x)[0] for x in xs])
+
+    value, grads = evaluator.average_and_gradient(params)
+    assert value == pytest.approx(average(params), abs=1e-12)
+    for j, x in enumerate(params):
+        np.testing.assert_allclose(
+            grads[j], central_gradient(lambda y, j=j: average(params[:j] + [y] + params[j + 1:]), x),
+            atol=1e-8, rtol=0)
+
+
+# ---------------------------------------------------------------------------
+# one Jamiolkowski map per LE
+
+
+class TestOneMap:
+    """``optimize_le`` builds the state's map once and scores its winner from
+    the search's own branches."""
+
+    @pytest.mark.parametrize("case", [c for c in LE_ROUTES if c[0] in (
+        "pure z2 concurrence", "pure z2 entropy", "pure z22 G", "rank-2 z2 concurrence")],
+                             ids=lambda c: c[0])
+    def test_one_map_and_no_element_eigh(self, case, monkeypatch):
+        import sys
+
+        import entloc.localize as localize
+
+        _, rho, measure, _ = case
+        maps, eigh_callers = [], []
+        build, eigh = localize.from_state, np.linalg.eigh
+
+        def spy_map(*args, **kwargs):
+            maps.append(args)
+            return build(*args, **kwargs)
+
+        def spy_eigh(*args, **kwargs):
+            eigh_callers.append(sys._getframe(1).f_code.co_name)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(localize, "from_state", spy_map)
+        monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+        res = optimize_le(rho, measure, LEConfig(restarts=2, max_iters=20, seed=5))
+        monkeypatch.undo()
+        assert len(maps) == 1
+        assert "povm_branch_factors" not in eigh_callers
+        again = average_root_entanglement(rho, res.povm, measure)
+        # a fixed POVM's average is a lower bound; the closed form's is exact
+        assert again.bound == "lower" and res.bound in ("lower", "exact")
+        assert res.value == pytest.approx(again.value, rel=1e-12, abs=1e-15)
+        np.testing.assert_allclose(res.branches, again.branches, rtol=1e-12, atol=1e-15)
