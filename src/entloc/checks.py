@@ -136,7 +136,7 @@ def gconcurrence_monotonicity(trials: int, seed: int):
         psi = random_pure(_QUBITS, rng)
         inst = Instrument("A", random_instrument(2, int(rng.integers(2, 4)),
                                                  int(rng.integers(1, 3)), rng))
-        gap = monotonicity_gap(psi.to_density(), inst, measure,
+        gap = monotonicity_gap(psi, inst, measure,
                                config=LEConfig(restarts=6, max_iters=200,
                                                seed=int(rng.integers(2**31))))
         figures.append({"f_sum": sum(inst.f_factors()), "gap": gap})

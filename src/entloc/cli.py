@@ -95,13 +95,14 @@ def cmd_measure(args) -> int:
     state = load_state(args.state)  # a pure state stays a vector throughout
     measure = MEASURES[args.measure]()
     results = {"method": "closed form", "converged": True, "bound": "exact"}
-    if (isinstance(state, DensityOperator)
-            and measure.needs_roof(state.dims, None, state.eigensystem()[0])):
+    if measure.kind == "gconcurrence" and isinstance(state, DensityOperator):
         value, ens = gconcurrence_mixed(state)
-        results.update(method="convex-roof optimizer (upper bound)",
-                       converged=ens.converged, bound="upper",
-                       restart_values=list(ens.restart_values),
-                       restart_evaluations=list(ens.restart_evaluations), winner=ens.winner)
+        if ens.winner is not None:  # the descent ran: no closed form here
+            results.update(method="convex-roof optimizer (upper bound)",
+                           converged=ens.converged, bound="upper",
+                           restart_values=list(ens.restart_values),
+                           restart_evaluations=list(ens.restart_evaluations),
+                           winner=ens.winner)
     else:
         value = measure.density(state)
     results["value"] = value
@@ -139,12 +140,12 @@ def cmd_reproduce(args) -> int:
     t0 = time.perf_counter()
     config = _le_config(restarts=args.restarts, seed=args.seed)
     config_g = _le_config(restarts=max(4, args.restarts // 4), seed=args.seed)
-    rho = build_locked_state().to_density()
+    locked = build_locked_state()  # scored as its vector: no dense operator
 
-    eoc = evaluate_protocol(rho, locked_state_protocol(), entropy_measure())
-    eoc_g = evaluate_protocol(rho, locked_state_protocol(), gconcurrence_measure())
-    le = optimize_le(rho, entropy_measure(), config)
-    le_g = optimize_le(rho, gconcurrence_measure(), config_g)
+    eoc = evaluate_protocol(locked, locked_state_protocol(), entropy_measure())
+    eoc_g = evaluate_protocol(locked, locked_state_protocol(), gconcurrence_measure())
+    le = optimize_le(locked, entropy_measure(), config)
+    le_g = optimize_le(locked, gconcurrence_measure(), config_g)
 
     rows = [
         ("EoC(entropy)", eoc.average, _EOC_KIND[eoc.bound]),

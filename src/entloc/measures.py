@@ -4,23 +4,26 @@ pure states, and the per-outcome contraction factor of dimension-preserving
 instruments.
 
 ``RootMeasure`` scores every state in one form, a stack of branch factors F_k
-in cut order, the branch being F_k F_k^dag (``RootMeasure.factor_branches``):
-one state is its ``jamiolkowski.eigen_factor`` (``density``,
-``wootters_concurrence``), a state vector one column (``gconcurrence_pure``,
-``entropy_of_entanglement``). Each closed form is one kernel returning (p,
-p v, gradient of p v), which the LE ascent differentiates too:
-``determinant_kernel`` on rank-one branches under the concurrence and G on
-an equal cut (d |det C|^(2/d), the formula ``smoothed_determinant`` also
-gives the convex roof), ``schmidt_kernel`` on the other rank-one branches
-(entropy, unequal cuts) and ``takagi_kernel`` (Wootters) on two-qubit
-branches under the concurrence or G. ``RootMeasure.kernel`` is the one rule
-for which branches take a kernel; any other branch is scored on the
-Schmidt spectrum of its top singular vector, or, where
-``RootMeasure.needs_roof`` says so (G of a mixed branch on a cut larger than
-2 x 2), by the convex roof, and ``factor_branches`` reports which branches
-did. ``takagi_factorization`` is the one Takagi factorization, which both
-Wootters' roof ensemble and the LE's closed form (``localize``) take, and
-``concurrence_of_assistance`` is that closed form's value.
+in cut order, the branch being F_k F_k^dag (``RootMeasure.factor_branches``).
+One state is scored by ``RootMeasure.density`` alone, as a stack of one, its
+``jamiolkowski.eigen_factor`` (a state vector is its own column): calling a
+measure, ``wootters_concurrence``, ``gconcurrence_pure`` and
+``entropy_of_entanglement`` go through it, and ``roof.gconcurrence_mixed``
+takes its closed forms from ``factor_branches`` on the same factor. Each
+closed form is one kernel returning (p, p v, gradient of p v), which the LE
+ascent differentiates too: ``determinant_kernel`` on rank-one branches under
+the concurrence and G on an equal cut (d |det C|^(2/d), the formula
+``smoothed_determinant`` also gives the convex roof), ``schmidt_kernel`` on
+the other rank-one branches (entropy, unequal cuts) and ``takagi_kernel``
+(Wootters) on two-qubit branches under the concurrence or G.
+``RootMeasure.kernel`` is the one rule for which branches take a kernel; any
+other branch is scored on the Schmidt spectrum of its top singular vector,
+or, where ``RootMeasure.needs_roof`` says so (G of a mixed branch on a cut
+larger than 2 x 2), by the convex roof, and ``factor_branches`` reports
+which branches did. ``takagi_factorization`` is the one Takagi
+factorization, which both Wootters' roof ensemble and the LE's closed form
+(``localize``) take, and ``concurrence_of_assistance`` is that closed
+form's value.
 
 The geometric-mean concurrence for a d x d pure state is
 d * (lambda_0 ... lambda_{d-1})^(1/d) with lambda the squared Schmidt
@@ -89,9 +92,7 @@ def spectrum_value(kind: str, lam: np.ndarray, d: int) -> np.ndarray:
 
 def entropy_of_entanglement(psi: PureState, cut=None) -> float:
     """Von Neumann entropy (base-2) of the reduced state across the cut, in ebits."""
-    if abs(np.linalg.norm(psi.amplitudes) - 1.0) > 1e-8 and psi.normalized:
-        raise ValueError("entropy of entanglement needs a normalized state")
-    return _pure_value("entropy", psi, cut)
+    return RootMeasure("entropy").density(psi, cut)
 
 
 def gconcurrence_pure(psi: PureState, cut=None) -> float:
@@ -100,15 +101,7 @@ def gconcurrence_pure(psi: PureState, cut=None) -> float:
     d * (prod lambda_i)^(1/d) with d = max of the two cut dimensions; exactly
     zero when the cut dimensions differ (zero padding annihilates the product).
     """
-    return _pure_value("gconcurrence", psi, cut)
-
-
-def _pure_value(kind: str, psi: PureState, cut) -> float:
-    """p v of a state vector scored as a one-column stack in cut order."""
-    left, right = _cut_or_default(psi.dims, cut)
-    factor, dims = permute_factor(psi.amplitudes[:, None], psi.dims, left + right)
-    p, values, _ = RootMeasure(kind).factor_branches(factor[None], dims, (left, right))
-    return float(p[0] * values[0])
+    return RootMeasure("gconcurrence").density(psi, cut)
 
 
 def _takagi_stack(factors: np.ndarray) -> np.ndarray:
@@ -370,10 +363,11 @@ class RootMeasure:
 
     def density(self, rho: PureState | DensityOperator, cut=None) -> float:
         """p v of one state across the cut (None: the A|B role cut), p its
-        kept trace: its ``eigen_factor`` scored as a stack of one, or, where
-        ``needs_roof`` says so on the factor's column norms, the convex roof
-        of rho itself. Homogeneous of degree one in rho; the zero operator,
-        whose factor has no columns, gives 0."""
+        kept trace: its ``eigen_factor`` (a state vector's is its one column,
+        no operator built) scored as a stack of one, or, where ``needs_roof``
+        says so on the factor's column norms, the convex roof of rho itself.
+        Homogeneous of degree one in rho; the zero operator, whose factor has
+        no columns, gives 0."""
         left, right = _cut_or_default(rho.dims, cut)
         factor, dims = permute_factor(eigen_factor(rho), rho.dims, left + right)
         if not factor.shape[1]:
@@ -427,9 +421,9 @@ class RootMeasure:
             values[k] = gconcurrence_mixed(sigma, (left, right), self.roof_config)[0]
         return np.where(live, p, 0.0), np.where(live, values, 0.0), roofed
 
-    def __call__(self, state, cut=None) -> float:
-        if isinstance(state, PureState):
-            state = state.to_density()
+    def __call__(self, state: PureState | DensityOperator, cut=None) -> float:
+        """``density``: a state vector is scored as its one-column factor, with
+        no dense operator built."""
         return self.density(state, cut)
 
 

@@ -140,19 +140,20 @@ def apply_instrument(rho: PureState | DensityOperator, instrument: Instrument):
     return out
 
 
-def monotonicity_gap(rho: DensityOperator, instrument: Instrument,
+def monotonicity_gap(rho: PureState | DensityOperator, instrument: Instrument,
                      measure: RootMeasure, povm: ProductPOVM | None = None,
                      config: LEConfig | None = None) -> float:
     """One-step gap  sum_j q_j LE(state after outcome j) - LE(state).
 
-    With ``povm`` given, both sides are averaged at that fixed POVM; otherwise
-    each side runs its own seeded search at a matched budget. A positive gap
-    means the local instrument on A or B increased the localizable value.
+    A state vector is taken as its one-column factor. With ``povm`` given,
+    both sides are averaged at that fixed POVM; otherwise each side runs its
+    own ``optimize_le`` at a matched budget. A positive gap means the local
+    instrument on A or B increased the localizable value.
     """
     if rho.dims.roles.get(instrument.party) not in ("A", "B"):
         raise DimensionError("monotonicity instrument must act on an A- or B-role party")
 
-    def le(state: DensityOperator) -> float:
+    def le(state: PureState | DensityOperator) -> float:
         if povm is not None:
             return average_root_entanglement(state, povm, measure).value
         return optimize_le(state, measure, config).value

@@ -4,9 +4,10 @@ The roof value is min sum_i p_i G(psi_i) over decompositions rho = sum_i p_i
 |psi_i><psi_i|. ``measures.RootMeasure.needs_roof`` is the one rule for
 where it has a closed form: 0 on an unequal cut (the zero padding), G of the
 state on a pure state, and on a 2 x 2 cut, where G is the concurrence,
-Wootters' value. Those values come from ``RootMeasure.factor_branches``;
-this module adds only Wootters' optimal decomposition on a mixed 2 x 2 state
-(``_wootters_ensemble``). Elsewhere (a mixed d x d state, d > 2) the value
+Wootters' value. Those values come from ``RootMeasure.factor_branches`` on
+the state's eigen-factor, as ``RootMeasure.density`` gives them; this module
+adds only Wootters' optimal decomposition on a mixed 2 x 2 state
+(``_wootters_members``). Elsewhere (a mixed d x d state, d > 2) the value
 is an upper bound from a descent, which does not resolve a roof below about
 4e-6 from 0: that is its floor at the det = 0 cusp.
 
@@ -183,9 +184,9 @@ def _closing_phases(lam: np.ndarray) -> np.ndarray:
     return np.array([1.0, u2, rot, rot * u4])
 
 
-def _wootters_ensemble(w: np.ndarray, dims: DimSpec):
-    """Wootters' optimal decomposition of a two-qubit rho = w w^dag (parties in
-    cut order, up to four columns) and its concurrence, the exact roof.
+def _wootters_members(w: np.ndarray, dims: DimSpec):
+    """Weights and members of Wootters' optimal decomposition of a two-qubit
+    rho = w w^dag (parties in cut order, up to four columns).
 
     The Takagi factorization tau = Q diag(lam) Q^T of tau = w^T (sy x sy) w
     (Wootters, PRL 80, 2245 (1998); ``measures.takagi_factorization``) gives
@@ -198,12 +199,11 @@ def _wootters_ensemble(w: np.ndarray, dims: DimSpec):
     w = np.pad(w, ((0, 0), (0, 4 - w.shape[1])))
     lam, q = takagi_factorization(_takagi_stack(w))
     y = w @ q.conj()
-    conc = float(lam[0] - np.sum(lam[1:]))
-    if conc > 0.0:
+    if lam[0] - np.sum(lam[1:]) > 0.0:
         phases = np.array([1.0, 1j, 1j, 1j])
     else:
-        conc, phases = 0.0, np.sqrt(_closing_phases(lam))
-    return conc, DecompositionEnsemble(*_members((y * phases) @ _HADAMARD, dims), conc, True)
+        phases = np.sqrt(_closing_phases(lam))
+    return _members((y * phases) @ _HADAMARD, dims)
 
 
 def _descent(w: np.ndarray, dims: DimSpec, config: RoofConfig):
@@ -245,27 +245,28 @@ def gconcurrence_mixed(rho: DensityOperator, cut=None, config: RoofConfig | None
     """Convex-roof geometric-mean concurrence of a mixed bipartite state.
 
     Returns ``(value, DecompositionEnsemble)``; the ensemble reproduces rho
-    and realizes the returned value. rho's ``eigen_factor``, in cut order,
-    takes Wootters' decomposition on a mixed 2 x 2 state; elsewhere, where
-    ``RootMeasure.needs_roof`` is False, the closed form of
-    ``RootMeasure.factor_branches`` with the eigen-ensemble, and otherwise
-    the descent, an upper bound that does not resolve a d > 2 roof below
-    about 4e-6 from 0. Homogeneous of degree one in rho; the zero operator
-    gives 0 and an empty ensemble.
+    and realizes the returned value. Where ``RootMeasure.needs_roof`` is
+    False, the value is the closed form that ``RootMeasure.factor_branches``
+    gives rho's ``eigen_factor`` in cut order, the one ``RootMeasure.density``
+    and ``wootters_concurrence`` return, with Wootters' decomposition on a
+    mixed 2 x 2 state and the eigen-ensemble elsewhere. Otherwise it is the
+    descent, an upper bound that does not resolve a d > 2 roof below about
+    4e-6 from 0. Homogeneous of degree one in rho; the zero operator gives 0
+    and an empty ensemble.
     """
     if config is None:
         config = RoofConfig()
     left, right = _cut_or_default(rho.dims, cut)
     w, dims = permute_factor(eigen_factor(rho), rho.dims, left + right)
-    if w.shape[1] > 1 and dims.dim_of_labels(left) == dims.dim_of_labels(right) == 2:
-        return _wootters_ensemble(w, dims)
     measure = RootMeasure("gconcurrence")
     if not measure.needs_roof(dims, (left, right), np.sum(np.abs(w) ** 2, axis=0)):
         value = 0.0
         if w.shape[1]:  # the zero operator has no columns
             p, values, _ = measure.factor_branches(w[None], dims, (left, right))
             value = float(p[0] * values[0])
-        return value, DecompositionEnsemble(*_members(w, dims), value, True)
+        wootters = w.shape[1] > 1 and dims.dim_of_labels(left) == dims.dim_of_labels(right) == 2
+        members = _wootters_members(w, dims) if wootters else _members(w, dims)
+        return value, DecompositionEnsemble(*members, value, True)
     # the eps schedule and the gradient stop test are absolute: descend at
     # unit trace and scale back, so the value is homogeneous in rho
     tr = 1.0 if rho.normalized else rho.trace

@@ -182,6 +182,30 @@ class TestCli:
         assert len(results["restart_evaluations"]) == RoofConfig().restarts
         assert all(isinstance(n, int) and n > 0 for n in results["restart_evaluations"])
 
+    def test_measure_gconc_decides_the_roof_once(self, tmp_path, capsys, monkeypatch):
+        # one eigendecomposition checks the file's positivity and one gives the
+        # roof its eigen-factor; whether the descent ran is read off the ensemble
+        dims = DimSpec.make(("A", 3, "A"), ("B", 3, "B"))
+        state = tmp_path / "mixed.json"
+        save_state(random_density(dims, np.random.default_rng(4), rank=2), state)
+        shapes, eigh = [], np.linalg.eigh
+
+        def spy(mat, *args, **kwargs):
+            shapes.append(np.shape(mat))
+            return eigh(mat, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", spy)
+            assert main(["measure", str(state), "--measure", "gconc"]) == 0
+        assert shapes == [(9, 9), (9, 9)]
+        results = json.loads(capsys.readouterr().out)["results"]
+        value, ens = entloc.gconcurrence_mixed(load_state(str(state)))
+        assert results == {"method": "convex-roof optimizer (upper bound)",
+                           "converged": ens.converged, "bound": "upper", "value": value,
+                           "restart_values": list(ens.restart_values),
+                           "restart_evaluations": list(ens.restart_evaluations),
+                           "winner": ens.winner}
+
     def test_malformed_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("[]")
@@ -414,10 +438,21 @@ class TestCli:
         assert "--n 40" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_reproduce_small(self, tmp_path, capsys):
-        rc = main(["reproduce", "--restarts", "4", "--seed", "2",
-                   "--out", str(tmp_path / "rep.json")])
+    def test_reproduce_small(self, tmp_path, capsys, monkeypatch):
+        # the locked state is scored as its vector: its 64 x 64 operator is
+        # never built, so never eigendecomposed
+        shapes, eigh = [], np.linalg.eigh
+
+        def spy(mat, *args, **kwargs):
+            shapes.append(np.shape(mat))
+            return eigh(mat, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", spy)
+            rc = main(["reproduce", "--restarts", "4", "--seed", "2",
+                       "--out", str(tmp_path / "rep.json")])
         assert rc == 0
+        assert (64, 64) not in shapes
         report = json.loads((tmp_path / "rep.json").read_text())
         table = {row["quantity"]: row["value"] for row in report["results"]["table"]}
         assert table["EoC(entropy)"] == pytest.approx(2.0, abs=1e-9)

@@ -159,7 +159,17 @@ class TestRootMeasure:
             entropy_of_entanglement(psi, cut), abs=1e-12)
         assert gconcurrence_measure().density(rho, cut) == pytest.approx(
             gconcurrence_pure(psi, cut), abs=1e-12)
-        assert entropy_measure()(psi, cut) == entropy_measure().density(rho, cut)
+        # calling the measure scores the vector itself, as density does
+        assert entropy_measure()(psi, cut) == entropy_measure().density(psi, cut)
+
+    def test_a_state_vector_is_not_eigendecomposed(self, monkeypatch):
+        # calling a measure on a vector scores its one column, as density does
+        def refuse(*args, **kwargs):
+            raise AssertionError("a state vector was eigendecomposed")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        assert entropy_measure()(bell_state()) == pytest.approx(1.0, abs=1e-12)
+        assert gconcurrence_measure()(bell_state()) == pytest.approx(1.0, abs=1e-12)
 
     def test_roof_rule(self):
         measure = gconcurrence_measure()
@@ -296,8 +306,8 @@ class TestOneRule:
     @pytest.mark.parametrize("tiny", [9e-13, 5e-12, 9e-12])
     def test_one_eigen_cut_on_two_qubits(self, tiny):
         # an eigenvalue below the state's rank cut (1e-11): the roof's closed
-        # form, the Wootters closed form and density all drop it
-        worst = 0.0
+        # form, the Wootters closed form and density all drop it, and all
+        # take one kernel on one eigen-factor
         for rng in spawn_rngs(7, 200):
             ev = np.append(rng.dirichlet(np.ones(3)) * (1 - tiny), tiny)
             u = random_unitary(4, rng)
@@ -305,8 +315,7 @@ class TestOneRule:
             conc = wootters_concurrence(rho)
             assert concurrence_measure().density(rho) == conc
             assert gconcurrence_measure().density(rho) == conc
-            worst = max(worst, abs(gconcurrence_mixed(rho)[0] - conc))
-        assert worst <= 1e-14
+            assert gconcurrence_mixed(rho)[0] == conc
 
 
 class TestConcurrenceOfAssistance:

@@ -163,6 +163,20 @@ class TestMonotonicityGap:
     def test_gconcurrence_gap_nonpositive(self, seed):
         assert checks.gconcurrence_monotonicity(1, seed)[1] == []
 
+    @pytest.mark.parametrize("n_kraus", [1, 2], ids=["pure posts", "mixed posts"])
+    def test_vector_input_matches_dense(self, n_kraus):
+        # a state vector is taken as its one-column factor; its gap is its
+        # dense operator's, by the LE closed form (one Kraus operator per
+        # outcome) and by a short search (two: mixed post-measurement states)
+        rng = np.random.default_rng(60 + n_kraus)
+        psi = random_pure(DimSpec.make(("A", 2, "A"), ("B", 2, "B"), ("C", 2, "Z")), rng)
+        inst = Instrument("A", random_instrument(2, 2, n_kraus, rng))
+        config = LEConfig(restarts=2, max_iters=20, seed=5)
+        gap = monotonicity_gap(psi, inst, gconcurrence_measure(), config=config)
+        assert gap == pytest.approx(
+            monotonicity_gap(psi.to_density(), inst, gconcurrence_measure(), config=config),
+            rel=0, abs=1e-12)
+
     def test_helper_party_rejected(self):
         rho = build_locked_state().to_density()
         with pytest.raises(DimensionError):
