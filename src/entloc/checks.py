@@ -4,8 +4,8 @@ Each check takes ``(trials, seed)`` and returns ``(worst, failures)``.
 ``worst`` maps each figure's name to its largest value over the trials (None
 with no trials). ``failures`` holds one ``"trial i: ..."`` line per trial
 that breaks a gate; the gates are the module constants below. ``entloc
-properties`` runs the checks by name, and acceptance criteria 7, 5, 8, 3, 4
-and 6 run them at their pinned seeds and trial counts.
+properties`` runs the checks by name, and acceptance criteria 7, 5, 8, 3, 4,
+6 and 9 run them at their pinned seeds and trial counts.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from .jamiolkowski import eigen_factor, from_state
 from .localize import LEConfig, ProductPOVM, average_root_entanglement
 from .measures import (Instrument, concurrence_measure, gconcurrence_measure, gconcurrence_pure,
                        wootters_concurrence)
-from .protocols import monotonicity_gap
-from .roof import RoofConfig, _descent
+from .protocols import ProtocolNode, evaluate_protocol, monotonicity_gap
+from .roof import descend
 from .sampling import (random_density, random_instrument, random_povm, random_pure,
                        random_rank1_povm, spawn_rngs)
 from .states import DensityOperator, DimSpec, NullBranchError, PureState, conditional_state
@@ -33,9 +33,15 @@ CONVEXITY_TOL = 1e-9         # average on the mixture minus the mixed averages
 F_SUM_TOL = 1e-10            # sum of an instrument's f-factors minus 1
 MONOTONICITY_TOL = 1e-6      # sum_j q_j LE(after outcome j) - LE(before)
 ROOF_TOL = 1e-5              # |roof descent - closed form| on two qubits
+TREE_TOL = 1e-12             # |tree average - its path factorization|
 
 _QUBITS = DimSpec.make(("A", 2, "A"), ("B", 2, "B"), ("C", 2, "Z"))
 _PAIR = DimSpec.make(("A", 2, "A"), ("B", 2, "B"))
+_QUTRITS = DimSpec.make(("A", 3, "A"), ("B", 3, "B"), ("C", 3, "Z"))
+# (figure, layout, root, input rank; None is a state vector), one per trial in turn
+_TREE_CASES = (("pure_concurrence", _QUBITS, concurrence_measure, None),
+               ("pure_gconcurrence", _QUTRITS, gconcurrence_measure, None),
+               ("mixed_concurrence", _QUBITS, concurrence_measure, 2))
 _WERNER_P = (0.0, 0.2, 1 / 3, 0.5, 0.8, 1.0)
 
 
@@ -160,11 +166,11 @@ def roof_descent(trials: int, seed: int):
     with d > 2, run here on two qubits, where the roof has a closed form: its
     distance to the Wootters concurrence on random states of rank 2-4 drawn
     from ``spawn_rngs(seed, trials)``, then to max(0, (3p - 1) / 2) on six
-    Werner states, one figure row each after the random ones. The descent
-    takes rank + 2 members and the default ``RoofConfig``."""
+    Werner states, one figure row each after the random ones. ``descend``
+    takes each state's eigen-factor and the default ``RoofConfig``."""
 
     def descent(rho: DensityOperator) -> float:
-        return _descent(eigen_factor(rho), rho.dims, RoofConfig())[0]
+        return descend(eigen_factor(rho), rho.dims)[0]
 
     figures = []
     for rng in spawn_rngs(seed, trials):
@@ -173,3 +179,70 @@ def roof_descent(trials: int, seed: int):
     for p in _WERNER_P:
         figures.append({"werner": abs(descent(werner_state(p)) - max(0.0, (3 * p - 1) / 2))})
     return _tally(figures, {"random": ROOF_TOL, "werner": ROOF_TOL})
+
+
+def _random_tree(levels: str, dims: DimSpec, rank_one_helper: bool, rng) -> ProtocolNode | None:
+    """A random adaptive tree with one level per letter of ``levels``: "S" an
+    instrument of Kraus rank 1 on A or B (drawn per node), "Z" a helper
+    measurement on C, one Kraus operator per outcome, rank-one ones where
+    ``rank_one_helper`` is set. Every node draws its own instrument and
+    2-3 outcomes (at least d on a rank-one helper of dimension d)."""
+    if not levels:
+        return None
+    d, n = dims.dim_of("C"), int(rng.integers(2, 4))
+    if levels[0] == "S":
+        party = ("A", "B")[int(rng.integers(2))]
+        outcomes = random_instrument(dims.dim_of(party), n, 1, rng)
+    elif rank_one_helper:  # sqrt(a a^dag) = a a^dag / |a|
+        party = "C"
+        outcomes = [[e / np.sqrt(np.trace(e).real)] for e in random_rank1_povm(d, max(n, d), rng)]
+    else:
+        party, outcomes = "C", random_instrument(d, n, 1, rng)
+    inst = Instrument(party, outcomes)
+    return ProtocolNode(party, inst, tuple(_random_tree(levels[1:], dims, rank_one_helper, rng)
+                                           for _ in inst.outcomes))
+
+
+def _path_factorization(factor: np.ndarray, node: ProtocolNode | None, dims: DimSpec,
+                        measure) -> float:
+    """sum over the leaves of prod |det M|^(2/d) over the A/B Kraus operators
+    M on the path, times p v of the branch that the path's helper Kraus
+    operators alone leave: ``factor`` on the A, B, C layout ``dims`` is that
+    branch, and a leaf scores it with C moved into the columns."""
+    d_ab = dims.dim_of("A") * dims.dim_of("B")
+    if node is None:
+        p, v, _ = measure.factor_branches(factor.reshape(1, d_ab, -1), dims.subspec(("A", "B")),
+                                          (("A",), ("B",)))
+        return float(p[0] * v[0])
+    total = 0.0
+    for (kraus,), child in zip(node.instrument.outcomes, node.children):
+        if node.party == "C":
+            branch = np.einsum("zc,acr->azr", kraus, factor.reshape(d_ab, len(kraus), -1))
+            total += _path_factorization(branch.reshape(len(factor), -1), child, dims, measure)
+        else:
+            scale = abs(np.linalg.det(kraus)) ** (2.0 / len(kraus))
+            total += scale * _path_factorization(factor, child, dims, measure)
+    return float(total)
+
+
+def protocol_covariance(trials: int, seed: int):
+    """The step the proof of EoC = LE rests on, per protocol tree: an A or B
+    Kraus operator M scales a branch's concurrence or G by |det M|^(2/d), so
+    a tree's average is the sum over its A/B paths of prod |det M|^(2/d)
+    times the helper-branch p v. Random adaptive trees of depth 2-3, their
+    A/B levels of Kraus rank 1 and a helper level between them, on pure
+    2 x 2 x 2 states under the concurrence, pure 3 x 3 x 3 states under G
+    (rank-one helper measurements, so every leaf is pure) and rank-2
+    2 x 2 x 2 states under the concurrence, one case per trial in turn,
+    drawn from ``spawn_rngs(seed, trials)``. The figure is
+    |``evaluate_protocol`` average - path factorization|."""
+    figures = []
+    for i, rng in enumerate(spawn_rngs(seed, trials)):
+        name, dims, root, rank = _TREE_CASES[i % len(_TREE_CASES)]
+        state = random_pure(dims, rng) if rank is None else random_density(dims, rng, rank=rank)
+        levels = ("SZS", "ZSZ")[int(rng.integers(2))][:int(rng.integers(2, 4))]
+        tree, measure = _random_tree(levels, dims, name == "pure_gconcurrence", rng), root()
+        average = evaluate_protocol(state, tree, measure).average
+        factorized = _path_factorization(eigen_factor(state), tree, dims, measure)
+        figures.append({name: abs(average - factorized)})
+    return _tally(figures, {name: TREE_TOL for name, *_ in _TREE_CASES})

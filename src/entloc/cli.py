@@ -102,6 +102,7 @@ def cmd_measure(args) -> int:
                            converged=ens.converged, bound="upper",
                            restart_values=list(ens.restart_values),
                            restart_evaluations=list(ens.restart_evaluations),
+                           restart_iterations=list(ens.restart_iterations),
                            winner=ens.winner)
     else:
         value = measure.density(state)
@@ -176,6 +177,7 @@ SUITES = {
     "monotonicity": checks.gconcurrence_monotonicity,
     "kraus": checks.kraus_bound,
     "roof": checks.roof_descent,
+    "tree": checks.protocol_covariance,
 }
 
 

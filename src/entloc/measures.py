@@ -19,11 +19,11 @@ the other rank-one branches (entropy, unequal cuts) and ``takagi_kernel``
 ``RootMeasure.kernel`` is the one rule for which branches take a kernel; any
 other branch is scored on the Schmidt spectrum of its top singular vector,
 or, where ``RootMeasure.needs_roof`` says so (G of a mixed branch on a cut
-larger than 2 x 2), by the convex roof, and ``factor_branches`` reports
-which branches did. ``takagi_factorization`` is the one Takagi
-factorization, which both Wootters' roof ensemble and the LE's closed form
-(``localize``) take, and ``concurrence_of_assistance`` is that closed
-form's value.
+larger than 2 x 2), by ``roof.descend`` on the factor in hand, and
+``factor_branches`` reports which branches did. ``takagi_factorization`` is
+the one Takagi factorization, which both Wootters' roof ensemble and the
+LE's closed form (``localize``) take, and ``concurrence_of_assistance`` is
+that closed form's value.
 
 The geometric-mean concurrence for a d x d pure state is
 d * (lambda_0 ... lambda_{d-1})^(1/d) with lambda the squared Schmidt
@@ -40,7 +40,7 @@ from functools import partial
 
 import numpy as np
 
-from .jamiolkowski import eigen_factor
+from .jamiolkowski import _STATE_RANK_TOL, eigen_factor
 from .sampling import phase_fixed_qr
 from .states import (
     DensityOperator,
@@ -365,7 +365,7 @@ class RootMeasure:
         """p v of one state across the cut (None: the A|B role cut), p its
         kept trace: its ``eigen_factor`` (a state vector's is its one column,
         no operator built) scored as a stack of one, or, where ``needs_roof``
-        says so on the factor's column norms, the convex roof of rho itself.
+        says so on the factor's column norms, ``roof.descend`` on that factor.
         Homogeneous of degree one in rho; the zero operator, whose factor has
         no columns, gives 0."""
         left, right = _cut_or_default(rho.dims, cut)
@@ -373,9 +373,9 @@ class RootMeasure:
         if not factor.shape[1]:
             return 0.0
         if self.needs_roof(dims, (left, right), np.sum(np.abs(factor) ** 2, axis=0)):
-            from .roof import gconcurrence_mixed
+            from .roof import descend
 
-            return gconcurrence_mixed(rho, (left, right), self.roof_config)[0]
+            return descend(factor, dims, self.roof_config, 1.0 if rho.normalized else rho.trace)[0]
         p, values, _ = self.factor_branches(factor[None], dims, (left, right))
         return float(p[0] * values[0])
 
@@ -390,7 +390,8 @@ class RootMeasure:
         Where ``kernel`` gives one, the value is its p v / p. Elsewhere one SVD
         of each factor gives the branch spectrum and its top eigenvector,
         scored on its Schmidt spectrum; the entropy root rejects a mixed
-        branch, and a branch that ``needs_roof`` takes one roof solve. Null
+        branch, and a branch that ``needs_roof`` takes ``roof.descend`` on
+        its unit-trace factor from that SVD. Null
         branches (probability below 1e-14) report (0, 0) and are not roofed.
         """
         left, right = tuple(cut[0]), tuple(cut[1])
@@ -414,11 +415,11 @@ class RootMeasure:
         values = spectrum_value(self.kind, schmidt * schmidt, max(dl, dr))
         roofed = live & self.needs_roof(dims, (left, right), lam)
         for k in np.flatnonzero(roofed):
-            from .roof import gconcurrence_mixed
+            from .roof import descend
 
-            op = factors[k] @ factors[k].conj().T
-            sigma = DensityOperator(0.5 * (op + op.conj().T) / p[k], dims)
-            values[k] = gconcurrence_mixed(sigma, (left, right), self.roof_config)[0]
+            keep = lam[k] > _STATE_RANK_TOL * p[k]  # the eigen-cut of F_k F_k^dag / p_k
+            values[k] = descend(u[k][:, keep] * (s[k, keep] / np.sqrt(p[k])), dims,
+                                self.roof_config)[0]
         return np.where(live, p, 0.0), np.where(live, values, 0.0), roofed
 
     def __call__(self, state: PureState | DensityOperator, cut=None) -> float:

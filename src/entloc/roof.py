@@ -11,10 +11,10 @@ adds only Wootters' optimal decomposition on a mixed 2 x 2 state
 is an upper bound from a descent, which does not resolve a roof below about
 4e-6 from 0: that is its floor at the det = 0 cusp.
 
-The descent searches the standard isometry parameterization: with rho =
-W W^dag (W = V sqrt(e), the ``jamiolkowski.eigen_factor`` in cut order that
-every closed form takes too, r columns), every ensemble of m = r + 2 members
-arises as |psi~_i> = sum_r U_ir w_r for an m x r isometry U. Because G is
+The descent (``descend``, its one entry) searches the standard isometry
+parameterization: with rho = W W^dag (W any factor in cut order, r columns,
+the one its caller holds), every ensemble of m = r + 2 members arises as
+|psi~_i> = sum_r U_ir w_r for an m x r isometry U. Because G is
 homogeneous of degree one in the density operator, the objective is simply
 sum_i G(|psi~_i>) on the unnormalized vectors, which keeps the search
 landscape smooth. On a d x d cut G(|psi~>) = d |det C|^(2/d) for the d x d
@@ -32,8 +32,8 @@ descent runs on the smoothed objective
 
 smooth for eps > 0, below f and tending to f as eps -> 0, and lowers eps in
 stages (``_EPS_SCHEDULE``). The schedule and the gradient stop test are
-absolute, so an unnormalized state (trace t) descends at unit trace, on
-W / sqrt(t), and its value, weights and restart values are scaled back by t:
+absolute, so ``descend`` runs a state of trace t at unit trace, on
+W / sqrt(t), and scales its value, weights and restart values back by t:
 the value is homogeneous in rho, as the roof is. Its exact gradient is carried
 back through the QR to x. ``sampling.lockstep_lbfgs`` polishes every restart
 at the first eps in lockstep, one batched QR and one batched determinant per
@@ -46,7 +46,7 @@ semantics: the true roof can only be lower.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,13 +90,14 @@ class RoofConfig:
 class DecompositionEnsemble:
     """Weighted pure-state decomposition of a density operator.
 
-    ``restart_values`` holds the exact value at each restart's final point
-    and ``restart_evaluations`` its objective evaluations, summed over its
-    polish stages. ``winner`` is the restart with the lowest value, the one
+    ``restart_values`` holds the exact value at each restart's final point,
+    ``restart_evaluations`` its objective evaluations and
+    ``restart_iterations`` its L-BFGS iterations, both summed over its polish
+    stages. ``winner`` is the restart with the lowest value, the one
     returned; ``converged`` says whether its last polish stage converged. On
-    every closed form (where ``needs_roof`` is False) no descent runs:
-    ``restart_values`` and ``restart_evaluations`` are empty, ``winner`` is
-    None and ``converged`` is True.
+    every closed form (where ``needs_roof`` is False) no descent runs: the
+    three restart tuples are empty, ``winner`` is None and ``converged`` is
+    True.
     """
 
     weights: np.ndarray
@@ -105,6 +106,7 @@ class DecompositionEnsemble:
     converged: bool
     restart_values: tuple[float, ...] = ()
     restart_evaluations: tuple[int, ...] = ()
+    restart_iterations: tuple[int, ...] = ()
     winner: int | None = None
 
     def reconstruct(self, dims: DimSpec) -> DensityOperator:
@@ -206,10 +208,13 @@ def _wootters_members(w: np.ndarray, dims: DimSpec):
     return _members((y * phases) @ _HADAMARD, dims)
 
 
-def _descent(w: np.ndarray, dims: DimSpec, config: RoofConfig):
+def descend(w: np.ndarray, dims: DimSpec, config: RoofConfig | None = None,
+            trace: float = 1.0):
     """The eps-staged multistart descent over (r + 2)-member ensembles of rho =
-    w w^dag (r columns, parties in cut order, a d x d cut): the lowest
-    restart's value, an upper bound to the roof, and its ensemble."""
+    w w^dag of trace ``trace`` (r columns in cut order, a d x d cut), run at
+    unit trace: the lowest restart's value, an upper bound to the roof, and
+    its ensemble. ``config`` None is ``RoofConfig()``."""
+    config, w = config or RoofConfig(), w / math.sqrt(trace)
     d, r = math.isqrt(w.shape[0]), w.shape[1]
     m = r + 2
 
@@ -219,26 +224,25 @@ def _descent(w: np.ndarray, dims: DimSpec, config: RoofConfig):
 
     # restart i starts from the Gaussian pre-image of generator i of the seed
     flat = flatten_complex(seeded_starts(config.seed, config.restarts, [(m, r)])[1])
-    evaluations = np.zeros(config.restarts, dtype=int)
+    iterations, evaluations = np.zeros((2, config.restarts), dtype=int)
     success = np.zeros(config.restarts, dtype=bool)
     rows = np.arange(config.restarts)
     for stage, eps in enumerate(_EPS_SCHEDULE):
-        flat[rows], smoothed, _, evals, success[rows], _ = lockstep_lbfgs(
+        flat[rows], smoothed, iters, evals, success[rows], _ = lockstep_lbfgs(
             lambda z: fun_and_grad(z, eps), flat[rows], ftol=_POLISH_FTOL, gtol=_POLISH_GTOL)
+        iterations[rows] += iters
         evaluations[rows] += evals
         if stage == 0:  # the lowest after the first stage go on, in stable order
             rows = rows[np.argsort(smoothed, kind="stable")[:_CONTINUED]]
 
     xs = unflatten_complex(flat, [(m, r)])[0]
-    vals = _objective(xs, w, d)
+    vals = trace * _objective(xs, w, d)
     winner = int(np.argmin(vals))
-    best_val, converged, best_x = float(vals[winner]), bool(success[winner]), xs[winner]
-
-    ens = DecompositionEnsemble(*_members(w @ phase_fixed_qr(best_x)[0].T, dims),
-                                best_val, converged,
-                                tuple(float(v) for v in vals),
-                                tuple(int(n) for n in evaluations), winner)
-    return best_val, ens
+    weights, members = _members(w @ phase_fixed_qr(xs[winner])[0].T, dims)
+    value = float(vals[winner])
+    return value, DecompositionEnsemble(trace * weights, members, value, bool(success[winner]),
+                                        tuple(vals.tolist()), tuple(evaluations.tolist()),
+                                        tuple(iterations.tolist()), winner)
 
 
 def gconcurrence_mixed(rho: DensityOperator, cut=None, config: RoofConfig | None = None):
@@ -249,13 +253,11 @@ def gconcurrence_mixed(rho: DensityOperator, cut=None, config: RoofConfig | None
     False, the value is the closed form that ``RootMeasure.factor_branches``
     gives rho's ``eigen_factor`` in cut order, the one ``RootMeasure.density``
     and ``wootters_concurrence`` return, with Wootters' decomposition on a
-    mixed 2 x 2 state and the eigen-ensemble elsewhere. Otherwise it is the
-    descent, an upper bound that does not resolve a d > 2 roof below about
-    4e-6 from 0. Homogeneous of degree one in rho; the zero operator gives 0
-    and an empty ensemble.
+    mixed 2 x 2 state and the eigen-ensemble elsewhere. Otherwise it is
+    ``descend`` on that eigen-factor at rho's trace, an upper bound that does
+    not resolve a d > 2 roof below about 4e-6 from 0. Homogeneous of degree
+    one in rho; the zero operator gives 0 and an empty ensemble.
     """
-    if config is None:
-        config = RoofConfig()
     left, right = _cut_or_default(rho.dims, cut)
     w, dims = permute_factor(eigen_factor(rho), rho.dims, left + right)
     measure = RootMeasure("gconcurrence")
@@ -267,9 +269,4 @@ def gconcurrence_mixed(rho: DensityOperator, cut=None, config: RoofConfig | None
         wootters = w.shape[1] > 1 and dims.dim_of_labels(left) == dims.dim_of_labels(right) == 2
         members = _wootters_members(w, dims) if wootters else _members(w, dims)
         return value, DecompositionEnsemble(*members, value, True)
-    # the eps schedule and the gradient stop test are absolute: descend at
-    # unit trace and scale back, so the value is homogeneous in rho
-    tr = 1.0 if rho.normalized else rho.trace
-    value, ens = _descent(w / math.sqrt(tr), dims, config)
-    return tr * value, replace(ens, weights=tr * ens.weights, value=tr * value,
-                               restart_values=tuple(tr * v for v in ens.restart_values))
+    return descend(w, dims, config, 1.0 if rho.normalized else rho.trace)

@@ -2,7 +2,7 @@
 
 Each test checks one headline claim of the library at a pinned tolerance and
 prints a single PASS/FAIL line (run with ``pytest -s tests/test_acceptance.py``
-to see them), at full published settings, budgets included. Criteria 3 to 8
+to see them), at full published settings, budgets included. Criteria 3 to 9
 run the seeded checks of ``entloc.checks`` (the ones ``entloc properties``
 runs) at their pinned seed and trial count.
 """
@@ -92,3 +92,9 @@ def test_criterion_8_per_povm_convexity():
     worst, failures = checks.povm_convexity(100, 81)
     _report(8, not failures, f"max convexity violation over 100 mixtures = "
                              f"{worst['violation']:+.2e}")
+
+
+def test_criterion_9_protocol_covariance():
+    worst, failures = checks.protocol_covariance(90, 91)
+    _report(9, not failures, "max |tree average - path factorization| over 90 trees = "
+                             + ", ".join(f"{v:.1e} ({k})" for k, v in worst.items()))

@@ -181,6 +181,10 @@ class TestCli:
         # each restart's objective evaluations, summed over its polish stages
         assert len(results["restart_evaluations"]) == RoofConfig().restarts
         assert all(isinstance(n, int) and n > 0 for n in results["restart_evaluations"])
+        # and its L-BFGS iterations, summed the same way; the payloads of the
+        # two runs are equal byte for byte, so they repeat for a fixed seed
+        assert len(results["restart_iterations"]) == RoofConfig().restarts
+        assert all(isinstance(n, int) and n > 0 for n in results["restart_iterations"])
 
     def test_measure_gconc_decides_the_roof_once(self, tmp_path, capsys, monkeypatch):
         # one eigendecomposition checks the file's positivity and one gives the
@@ -204,6 +208,7 @@ class TestCli:
                            "converged": ens.converged, "bound": "upper", "value": value,
                            "restart_values": list(ens.restart_values),
                            "restart_evaluations": list(ens.restart_evaluations),
+                           "restart_iterations": list(ens.restart_iterations),
                            "winner": ens.winner}
 
     def test_malformed_exit_code(self, tmp_path):
@@ -378,9 +383,9 @@ class TestCli:
 
     def test_properties_suite_passes(self, capsys):
         for suite, trials in (("jamio", 10), ("gconc", 10), ("convexity", 5),
-                              ("monotonicity", 2), ("kraus", 10), ("roof", 2), ("jamio", 0),
-                              ("gconc", 0), ("convexity", 0), ("monotonicity", 0),
-                              ("kraus", 0), ("roof", 0)):
+                              ("monotonicity", 2), ("kraus", 10), ("roof", 2), ("tree", 6),
+                              ("jamio", 0), ("gconc", 0), ("convexity", 0), ("monotonicity", 0),
+                              ("kraus", 0), ("roof", 0), ("tree", 0)):
             assert main(["properties", "--suite", suite, "--trials", str(trials),
                          "--seed", "0"]) == 0
             # strict JSON: no -Infinity or NaN, also with no trials

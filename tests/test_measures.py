@@ -141,13 +141,49 @@ class TestWootters:
 
 class TestRootMeasure:
     def test_roof_branch_is_gconcurrence_mixed(self):
-        # on a mixed state across a cut larger than 2 x 2, density hands rho
-        # itself to the roof, so the two agree bit for bit
+        # on a mixed state across a cut larger than 2 x 2, density hands the
+        # roof the eigen-factor gconcurrence_mixed takes, so the two agree bit
+        # for bit
         config = RoofConfig(restarts=4)
         for rng in spawn_rngs(31, 3):
             rho = random_density(pair_spec(3, 3), rng, rank=2)
             assert gconcurrence_measure(config).density(rho) == \
                 gconcurrence_mixed(rho, config=config)[0]
+
+    def test_roof_takes_one_eigendecomposition(self, monkeypatch):
+        # density hands the roof the eigen-factor it already holds, so the
+        # state is eigendecomposed once, and the value is gconcurrence_mixed's
+        rho = random_density(pair_spec(3, 3), np.random.default_rng(4), rank=2)
+        config = RoofConfig(restarts=2)
+        shapes, eigh = [], np.linalg.eigh
+
+        def spy(mat, *args, **kwargs):
+            shapes.append(np.shape(mat))
+            return eigh(mat, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", spy)
+            value = gconcurrence_measure(config).density(rho)
+        assert shapes == [(9, 9)]
+        assert value == gconcurrence_mixed(rho, config=config)[0]
+
+    def test_roofed_branches_descend_on_their_factors(self, monkeypatch):
+        # each roofed branch takes the roof on its factor from the SVD: no
+        # density operator is built and nothing is eigendecomposed
+        rng = np.random.default_rng(8)
+        factors = rng.standard_normal((3, 9, 3)) + 1j * rng.standard_normal((3, 9, 3))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("called")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", refuse)
+            patch.setattr(DensityOperator, "__post_init__", refuse)
+            p, values, roofed = gconcurrence_measure(RoofConfig(restarts=2)).factor_branches(
+                factors, pair_spec(3, 3), (("A",), ("B",)))
+        assert roofed.all()
+        np.testing.assert_allclose(p, np.sum(np.abs(factors) ** 2, axis=(1, 2)), rtol=1e-14)
+        assert np.all((values >= 0.0) & (values <= 1.0))
 
     def test_parties_put_in_cut_order(self):
         # parties listed B, A, D, C and scored across the 4 x 4 cut AC | BD
@@ -241,7 +277,7 @@ class TestOneRule:
                             spy("determinant", measures.determinant_kernel))
         monkeypatch.setattr(measures, "schmidt_kernel", spy("schmidt", measures.schmidt_kernel))
         monkeypatch.setattr(measures, "takagi_kernel", spy("takagi", measures.takagi_kernel))
-        monkeypatch.setattr(roof, "gconcurrence_mixed", spy("roof", roof.gconcurrence_mixed))
+        monkeypatch.setattr(roof, "descend", spy("roof", roof.descend))
         p, values, roofed = measure.factor_branches(factors, dims, (("A",), ("B",)))
         assert calls == {"determinant": ["determinant"], "schmidt": ["schmidt"],
                          "takagi": ["takagi"], "top": [], "roof": ["roof"] * 3}[route]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,38 @@ class TestMonotonicityGap:
         with pytest.raises(DimensionError):
             monotonicity_gap(rho, Instrument.projective("C", (P0, P1)),
                              entropy_measure())
+
+
+class TestProtocolCovariance:
+    """``checks.protocol_covariance``: a tree's average against the sum over
+    its A/B paths of prod |det M|^(2/d) times the helper-branch p v."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_holds_on_random_trees(self, seed, monkeypatch):
+        bounds, evaluate = [], checks.evaluate_protocol
+
+        def spy(*args):
+            result = evaluate(*args)
+            bounds.append(result.bound)
+            return result
+
+        monkeypatch.setattr(checks, "evaluate_protocol", spy)
+        worst, failures = checks.protocol_covariance(9, seed)
+        assert failures == []
+        assert set(worst) == {"pure_concurrence", "pure_gconcurrence", "mixed_concurrence"}
+        assert all(v <= 1e-12 for v in worst.values())
+        # every leaf has a closed form: no tree took the roof
+        assert bounds == ["lower"] * 9
+
+    def test_gate_catches_a_wrong_average(self, monkeypatch):
+        evaluate = checks.evaluate_protocol
+
+        def off(*args):
+            result = evaluate(*args)
+            return dataclasses.replace(result, average=result.average + 1e-9)
+
+        monkeypatch.setattr(checks, "evaluate_protocol", off)
+        assert len(checks.protocol_covariance(6, 0)[1]) == 6
 
 
 def test_instrument_dimension_checked():

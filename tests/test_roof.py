@@ -11,8 +11,8 @@ from entloc import (
 )
 from entloc.catalog import werner_state
 from entloc.states import permute_parties
-from entloc.roof import (_EPS_SCHEDULE, _POLISH_FTOL, _POLISH_GTOL, _descent, _ensemble_stack,
-                         _objective, _objective_and_gradient)
+from entloc.roof import (_EPS_SCHEDULE, _POLISH_FTOL, _POLISH_GTOL, _ensemble_stack, _objective,
+                         _objective_and_gradient, descend)
 from entloc.sampling import (lockstep_lbfgs, lockstep_search, phase_fixed_qr, random_density,
                              random_pure, spawn_rngs)
 
@@ -32,7 +32,7 @@ def _descend(rho, config=RoofConfig()):
     members, so that the closed form can check it."""
     if rho.dims.local_dims[0] > 2:
         return gconcurrence_mixed(rho, config=config)
-    return _descent(_ensemble_factor(rho), rho.dims, config)
+    return descend(_ensemble_factor(rho), rho.dims, config)
 
 
 def test_pure_state_shortcut():
@@ -330,18 +330,21 @@ def test_every_restart_polished_best_three_continued(d, rank):
 
     starts = np.stack([rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
                        for rng in spawn_rngs(config.seed, config.restarts)])
-    flat, smoothed, _, evals, _, _ = lockstep_lbfgs(
+    flat, smoothed, iters, evals, _, _ = lockstep_lbfgs(
         fun_and_grad, flatten(starts), ftol=_POLISH_FTOL, gtol=_POLISH_GTOL)
     stage1 = _objective(unflatten(flat), w, d)
     continued = np.argsort(smoothed, kind="stable")[:3]
-    assert len(ens.restart_values) == len(ens.restart_evaluations) == config.restarts
+    assert (len(ens.restart_values) == len(ens.restart_evaluations)
+            == len(ens.restart_iterations) == config.restarts)
     for i in range(config.restarts):
         if i in continued:
             # each later stage takes at least one evaluation
             assert ens.restart_evaluations[i] >= evals[i] + len(_EPS_SCHEDULE) - 1
+            assert ens.restart_iterations[i] >= iters[i]
         else:
             assert ens.restart_values[i] == stage1[i]
             assert ens.restart_evaluations[i] == evals[i]
+            assert ens.restart_iterations[i] == iters[i]
     assert value == ens.value == ens.restart_values[ens.winner] == min(ens.restart_values)
 
 
@@ -357,6 +360,7 @@ def test_restart_does_not_depend_on_the_others(d, rank):
     assert len(three.restart_values) == 3
     assert two.restart_values == three.restart_values[:2]
     assert two.restart_evaluations == three.restart_evaluations[:2]
+    assert two.restart_iterations == three.restart_iterations[:2]
 
 
 def test_seed_determinism_3x3():
@@ -366,6 +370,10 @@ def test_seed_determinism_3x3():
     v2, e2 = gconcurrence_mixed(rho, config=FAST)
     assert v1 == v2
     assert e1.converged == e2.converged
+    # each restart's L-BFGS iterations, summed over its stages, repeat too
+    assert e1.restart_iterations == e2.restart_iterations
+    assert len(e1.restart_iterations) == FAST.restarts
+    assert all(n > 0 for n in e1.restart_iterations)
     np.testing.assert_array_equal(e1.weights, e2.weights)
     for s1, s2 in zip(e1.states, e2.states):
         np.testing.assert_array_equal(s1.amplitudes, s2.amplitudes)
