@@ -10,12 +10,8 @@ from .states import (
     DimensionError,
     NullBranchError,
     PureState,
-    SchmidtDecomposition,
     conditional_state,
     partial_trace,
-    permute_parties,
-    schmidt_decompose,
-    tensor_product,
 )
 from .measures import (
     Instrument,

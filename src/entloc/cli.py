@@ -4,9 +4,9 @@ Subcommands: ``measure`` (score a state file), ``le`` (run the localizable
 entanglement search), ``protocol`` (evaluate a protocol file), ``reproduce``
 (the locked-state comparison table), ``properties`` (one seeded check of
 ``entloc.checks``: ``jamio``, ``gconc``, ``convexity``, ``monotonicity``,
-``kraus`` or ``roof``, the checks of acceptance criteria 7, 5, 8, 3, 4 and 6
-at a chosen seed and trial count), ``emit`` (write catalog states to the JSON
-format).
+``kraus``, ``roof`` or ``tree``, the checks of acceptance criteria 7, 5, 8,
+3, 4, 6 and 9 at a chosen seed and trial count), ``emit`` (write catalog
+states to the JSON format).
 
 Exit codes: 0 ok, 1 property violation, 2 bad input (a parse error, a
 non-finite entry, a bad option value, ``ENTLOC_SEED`` or ``--out`` path, or

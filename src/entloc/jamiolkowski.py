@@ -7,13 +7,6 @@ B = sum_z conj(F[z]) V[z], a whole stack of elements in one matrix product
 branch Tr_Z[rho (I ⊗ q)]. The LE optimizer and every fixed-POVM average
 (``localize``), protocol-tree leaves (``protocols``, q = I) and acceptance
 criterion 7 (``checks.duality``) run on this one contraction.
-
-Transpose convention, fixed once: ``apply(q)`` computes
-``Tr_Z[rho (I_Y ⊗ q^t)]``, which is the contraction consistent with the
-defining identity rho = (map ⊗ id)(|psi+><psi+|), with |psi+> = sum_i |i>|i>
-unnormalized. The *physical* post-measurement branch for a POVM element q is
-therefore ``apply(q^t)`` -- exposed as :meth:`apply_physical` so callers never
-have to remember which side carries the transpose.
 """
 
 from __future__ import annotations
@@ -71,24 +64,6 @@ class JamiolkowskiMap:
     def d_z(self) -> int:
         return self.factor.shape[0]
 
-    def apply(self, q: np.ndarray) -> np.ndarray:
-        """Tr_Z[rho (I ⊗ q^t)]: the branch map in the physical convention.
-
-        ``q`` is one (d_z, d_z) operator or a (K, d_z, d_z) stack; a stack maps
-        to a (K, d_y, d_y) stack in one contraction.
-        """
-        if q.shape[-2:] != (self.d_z, self.d_z) or q.ndim not in (2, 3):
-            raise DimensionError(f"operator shape {q.shape} != ({self.d_z}, {self.d_z})")
-        # out[y, w] = sum_{z v} rho[(y z), (w v)] q[z, v], with
-        # rho[(y z), (w v)] = sum_c V[z, y, c] conj(V[v, w, c])
-        return np.einsum("zyc,...zv,vwc->...yw", self.factor, q, self.factor.conj(),
-                         optimize=True)
-
-    def apply_physical(self, q: np.ndarray) -> np.ndarray:
-        """Unnormalized post-measurement branch Tr_Z[rho (I ⊗ q)] for POVM element
-        q, or for each element of a (K, d_z, d_z) stack."""
-        return self.apply(np.swapaxes(q, -1, -2))
-
     def branch_factors(self, w: np.ndarray) -> np.ndarray:
         """(K, d_Y, r) branch factors B_k = sum_z conj(w_kz) V[z] of K rank-one
         POVM elements w_k w_k^dag, w a (K, d_Z) stack."""
@@ -99,13 +74,17 @@ class JamiolkowskiMap:
         """(K, d_Y, m r) branch factors of a (K, d_Z, d_Z) stack of POVM
         elements E_k = F_k F_k^dag, each column of F_k a rank-one element
         (``branch_factors``). F_k comes from the eigendecomposition, with exact
-        zero columns for eigenvalues below 1e-12 of the element's largest."""
+        zero columns for eigenvalues below 1e-12 of the element's largest.
+        Elements of any other shape raise ``DimensionError``."""
+        d_z, d_y, r = self.factor.shape
+        if elements.ndim != 3 or elements.shape[1:] != (d_z, d_z):
+            raise DimensionError(f"POVM element stack of shape {elements.shape} != "
+                                 f"(K, {d_z}, {d_z})")
         evals, evecs = np.linalg.eigh(elements)
         keep = evals > _ELEMENT_RANK_TOL * evals[:, -1:]
         m = max(1, int(np.max(np.count_nonzero(keep, axis=-1))))
         # eigenvalues ascend, so the kept columns are among the last m
         f = (evecs * np.sqrt(np.where(keep, evals, 0.0))[:, None, :])[:, :, -m:]
-        d_z, d_y, r = self.factor.shape
         cols = self.branch_factors(np.swapaxes(f, 1, 2).reshape(-1, d_z))
         return cols.reshape(len(f), m, d_y, r).swapaxes(1, 2).reshape(len(f), d_y, m * r)
 

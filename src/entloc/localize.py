@@ -188,12 +188,18 @@ def average_root_entanglement(rho: PureState | DensityOperator, povm: ProductPOV
     of ``optimize_le`` runs, and are scored in one batched call, as the
     optimizer scores them. Null branches (probability below 1e-14)
     contribute zero. The result's ``bound`` is "estimate" when the scorer
-    reports a live branch roofed, "lower" otherwise.
+    reports a live branch roofed, "lower" otherwise. A POVM on other helper
+    labels, or whose factor on a helper is not of that helper's dimension,
+    raises ``DimensionError``.
     """
     if tuple(povm.z_labels) != tuple(rho.dims.z_labels):
         raise DimensionError(
             f"POVM helper labels {povm.z_labels} != state helper labels {rho.dims.z_labels}"
         )
+    for label, factor in zip(povm.z_labels, povm.factors[0]):
+        if factor.shape != (rho.dims.dim_of(label),) * 2:
+            raise DimensionError(f"POVM factor of shape {factor.shape} on party {label!r} "
+                                 f"of dimension {rho.dims.dim_of(label)}")
     evaluator = _FactorEvaluator(rho, measure)
     return _scored_result(povm, *measure.factor_branches(
         evaluator.jam.povm_branch_factors(povm.elements()), evaluator.y_dims, evaluator.cut))

@@ -8,8 +8,11 @@ Wootters' value. Those values come from ``RootMeasure.factor_branches`` on
 the state's eigen-factor, as ``RootMeasure.density`` gives them; this module
 adds only Wootters' optimal decomposition on a mixed 2 x 2 state
 (``_wootters_members``). Elsewhere (a mixed d x d state, d > 2) the value
-is an upper bound from a descent, which does not resolve a roof below about
-4e-6 from 0: that is its floor at the det = 0 cusp.
+is an upper bound from a descent. On random 3 x 3 states it reads a zero
+roof within about 4e-6 of 0, its floor at the det = 0 cusp. That floor is
+not general: the 3 x 3 isotropic state at F = 2/3, whose roof is 0 (its
+Schmidt number is 2), reads 5.9e-4 with ``converged`` True, a fault that
+ROADMAP.md keeps open.
 
 The descent (``descend``, its one entry) searches the standard isometry
 parameterization: with rho = W W^dag (W any factor in cut order, r columns,
@@ -254,9 +257,10 @@ def gconcurrence_mixed(rho: DensityOperator, cut=None, config: RoofConfig | None
     gives rho's ``eigen_factor`` in cut order, the one ``RootMeasure.density``
     and ``wootters_concurrence`` return, with Wootters' decomposition on a
     mixed 2 x 2 state and the eigen-ensemble elsewhere. Otherwise it is
-    ``descend`` on that eigen-factor at rho's trace, an upper bound that does
-    not resolve a d > 2 roof below about 4e-6 from 0. Homogeneous of degree
-    one in rho; the zero operator gives 0 and an empty ensemble.
+    ``descend`` on that eigen-factor at rho's trace, an upper bound: within
+    about 4e-6 of a zero roof on random 3 x 3 states, but 5.9e-4 (converged)
+    on the 3 x 3 isotropic state at F = 2/3, whose roof is 0. Homogeneous of
+    degree one in rho; the zero operator gives 0 and an empty ensemble.
     """
     left, right = _cut_or_default(rho.dims, cut)
     w, dims = permute_factor(eigen_factor(rho), rho.dims, left + right)

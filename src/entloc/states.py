@@ -1,5 +1,10 @@
-"""Multipartite state bookkeeping: labeled tensor factors, partial traces,
-Schmidt decompositions and post-measurement conditional states.
+"""Multipartite state bookkeeping: labeled party layouts, pure and density
+states, and the permutation of a state's factor into another party order.
+
+The library computes every branch in factor form (``jamiolkowski``). The
+dense post-measurement state kept here (``conditional_state``, built on
+``embed_operator`` and ``partial_trace``) shares no code with that engine:
+it is acceptance criterion 7's independent reference for it.
 
 Everything here is dense complex128; the target systems are tiny (total
 dimension <= a few hundred), so no sparsity or structure is exploited.
@@ -157,9 +162,6 @@ class PureState:
             normalized=self.normalized,
         )
 
-    def as_tensor(self) -> np.ndarray:
-        return self.amplitudes.reshape(self.dims.local_dims)
-
 
 @dataclass(frozen=True)
 class DensityOperator:
@@ -197,37 +199,9 @@ class DensityOperator:
             raise ValueError(f"density matrix has negative eigenvalue {evals[0]:.3e}")
         return np.clip(evals, 0.0, None), evecs
 
-    def rank(self, tol: float = 1e-10) -> int:
-        evals, _ = self.eigensystem()
-        return int(np.count_nonzero(evals > tol))
-
     def as_tensor(self) -> np.ndarray:
         dims = self.dims.local_dims
         return self.matrix.reshape(dims + dims)
-
-    def as_pure(self, tol: float = 1e-8) -> PureState:
-        """Extract the state vector of a (numerically) rank-one operator."""
-        evals, evecs = self.eigensystem()
-        t = self.trace
-        if t <= 0 or evals[-1] < t * (1 - tol):
-            raise ValueError("density operator is not rank one within tolerance")
-        vec = evecs[:, -1] * np.sqrt(evals[-1] / t) if not self.normalized else evecs[:, -1]
-        return PureState(vec, self.dims, normalized=self.normalized)
-
-
-@dataclass(frozen=True)
-class SchmidtDecomposition:
-    """Schmidt data of a bipartite cut.
-
-    ``schmidt_numbers`` are the squared Schmidt coefficients in non-increasing
-    order, zero-padded to max(d_left, d_right).
-    """
-
-    schmidt_numbers: np.ndarray
-    left_vectors: np.ndarray   # columns are |u_i>
-    right_vectors: np.ndarray  # columns are |v_i>
-    left_labels: tuple[str, ...]
-    right_labels: tuple[str, ...]
 
 
 def permute_factor(factor: np.ndarray, dims: DimSpec, label_order) -> tuple[np.ndarray, DimSpec]:
@@ -240,33 +214,6 @@ def permute_factor(factor: np.ndarray, dims: DimSpec, label_order) -> tuple[np.n
     moved = tens.transpose(dims.axes_of(label_order) + [len(label_order)])
     spec = DimSpec(tuple((lab, dims.dim_of(lab)) for lab in label_order), dict(dims.roles))
     return moved.reshape(factor.shape), spec
-
-
-def permute_parties(state, label_order):
-    """Reorder the tensor factors of a pure or density state."""
-    if isinstance(state, PureState):
-        vec, spec = permute_factor(state.amplitudes[:, None], state.dims, label_order)
-        return PureState(vec[:, 0], spec, state.normalized)
-    # rows, then columns: (P rho) P^T = (P (P rho)^T)^T
-    rows, spec = permute_factor(state.matrix, state.dims, label_order)
-    mat = permute_factor(rows.T, state.dims, label_order)[0].T
-    return DensityOperator(mat, spec, state.normalized)
-
-
-def tensor_product(x, y):
-    """Kronecker product of two pure states or two density operators.
-
-    The operands must carry disjoint party labels; the result's layout is the
-    concatenation of the two layouts.
-    """
-    spec = x.dims.concat(y.dims)
-    if isinstance(x, PureState) and isinstance(y, PureState):
-        return PureState(np.kron(x.amplitudes, y.amplitudes), spec,
-                         x.normalized and y.normalized)
-    if isinstance(x, DensityOperator) and isinstance(y, DensityOperator):
-        return DensityOperator(np.kron(x.matrix, y.matrix), spec,
-                               x.normalized and y.normalized)
-    raise TypeError("operands must be two PureStates or two DensityOperators")
 
 
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
@@ -286,36 +233,6 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     sub = rho.dims.subspec(keep_in_order)
     d = sub.total_dim
     return DensityOperator(tens.reshape(d, d), sub, rho.normalized)
-
-
-def schmidt_decompose(psi: PureState, left_labels=None, right_labels=None) -> SchmidtDecomposition:
-    """Schmidt decomposition of a pure state across a bipartite cut.
-
-    Defaults to the A-role vs (B-role + Z-role) cut being invalid: both sides
-    must be given unless the state has no Z parties, in which case the cut is
-    A-role vs B-role.
-    """
-    if left_labels is None or right_labels is None:
-        left_labels = psi.dims.a_labels
-        right_labels = tuple(lab for lab in psi.dims.labels if lab not in left_labels)
-    left_labels, right_labels = tuple(left_labels), tuple(right_labels)
-    if set(left_labels) | set(right_labels) != set(psi.dims.labels) or \
-            set(left_labels) & set(right_labels):
-        raise DimensionError("cut must partition the party labels")
-    vec = permute_parties(psi, left_labels + right_labels).amplitudes
-    dl = psi.dims.dim_of_labels(left_labels)
-    dr = psi.dims.dim_of_labels(right_labels)
-    u, s, vh = np.linalg.svd(vec.reshape(dl, dr), full_matrices=False)
-    d = max(dl, dr)
-    lam = np.zeros(d)
-    lam[: s.size] = s**2
-    return SchmidtDecomposition(
-        schmidt_numbers=lam,
-        left_vectors=u,
-        right_vectors=vh.T,
-        left_labels=left_labels,
-        right_labels=right_labels,
-    )
 
 
 class NullBranchError(ValueError):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from entloc import DimSpec
+from entloc.states import permute_factor
 
 
 @pytest.fixture
@@ -12,6 +13,26 @@ def abc_qubits():
 @pytest.fixture
 def ab_pair():
     return DimSpec.make(("A", 2, "A"), ("B", 2, "B"))
+
+
+def _schmidt_numbers(psi, left, right=None) -> np.ndarray:
+    """Squared Schmidt coefficients of a pure state across ``left`` | ``right``
+    (default: every other party), non-increasing and zero-padded to the larger
+    side: the SVD of the amplitudes with the parties moved into (left, right)."""
+    left = tuple(left)
+    if right is None:
+        right = tuple(lab for lab in psi.dims.labels if lab not in left)
+    right = tuple(right)
+    vec, _ = permute_factor(psi.amplitudes[:, None], psi.dims, left + right)
+    d_left, d_right = psi.dims.dim_of_labels(left), psi.dims.dim_of_labels(right)
+    lam = np.zeros(max(d_left, d_right))
+    lam[:min(d_left, d_right)] = np.linalg.svd(vec.reshape(d_left, d_right), compute_uv=False) ** 2
+    return lam
+
+
+@pytest.fixture(scope="session")
+def schmidt_numbers():
+    return _schmidt_numbers
 
 
 def rng_for(seed):

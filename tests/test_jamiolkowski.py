@@ -6,10 +6,10 @@ from entloc import (
     DimSpec,
     DensityOperator,
     DimensionError,
+    NullBranchError,
     conditional_state,
     from_state,
-    permute_parties,
-    tensor_product,
+    partial_trace,
 )
 from entloc.catalog import build_locked_state, phi_plus_vector
 from entloc.sampling import random_density, random_povm, random_rank1_povm
@@ -21,58 +21,63 @@ def yz_pair(dy=2, dz=2):
     return DimSpec.make(("Y", dy, "A"), ("Z", dz, "Z"))
 
 
+def branches(jam, elements):
+    """(K, d_Y, d_Y) unnormalized branches Tr_Z[rho (I ⊗ E_k)] = B_k B_k^dag
+    of a (K, d_Z, d_Z) stack of POVM elements."""
+    b = jam.povm_branch_factors(np.asarray(elements))
+    return b @ b.conj().swapaxes(1, 2)
+
+
 def test_product_state_factorizes():
     rng = np.random.default_rng(0)
     rho_y = random_density(DimSpec.make(("Y", 2, "A")), rng)
     rho_z = random_density(DimSpec.make(("Z", 3, "Z")), rng)
-    joint = tensor_product(rho_y, rho_z)
+    joint = DensityOperator(np.kron(rho_y.matrix, rho_z.matrix), rho_y.dims.concat(rho_z.dims))
     jam = from_state(joint, y_labels=("Y",), z_labels=("Z",))
-    q = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    q = q + q.conj().T
-    expected = rho_y.matrix * np.trace(rho_z.matrix @ q.T)
-    np.testing.assert_allclose(jam.apply(q), expected, atol=1e-12)
+    for q in random_povm(3, 3, rng):
+        expected = rho_y.matrix * np.trace(rho_z.matrix @ q)
+        np.testing.assert_allclose(branches(jam, q[None])[0], expected, atol=1e-12)
 
 
 def test_maximally_entangled_gives_matrix_units():
+    # the branch of E on phi+ is E^t / 2: the diagonal matrix units, and a
+    # full-rank element whose off-diagonal entries the transpose moves
     vec = phi_plus_vector(2)
     rho = DensityOperator(np.outer(vec, vec.conj()), yz_pair())
     jam = from_state(rho, y_labels=("Y",), z_labels=("Z",))
-    # oracle: direct index contraction; rho[(y i), (y' j)]/2 delta structure
-    for i in range(2):
-        for j in range(2):
-            unit = np.zeros((2, 2), dtype=complex)
-            unit[i, j] = 1.0
-            out = jam.apply(unit)
-            np.testing.assert_allclose(out, unit / 2, atol=1e-14)
+    units = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+    np.testing.assert_allclose(branches(jam, units), units / 2, atol=1e-14)
+    q = random_povm(2, 2, np.random.default_rng(1))[0]
+    np.testing.assert_allclose(branches(jam, q[None])[0], q.T / 2, atol=1e-14)
 
 
 def test_locked_state_map_dimensions():
     jam = from_state(build_locked_state().to_density())
     assert jam.d_z == 2
     assert jam.d_y == 32
-    out = jam.apply(np.eye(2, dtype=complex))
-    assert out.shape == (32, 32)
-    assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
+    p, sigma = jam.branch(np.eye(2, dtype=complex))
+    assert sigma.matrix.shape == (32, 32)
+    assert p == pytest.approx(1.0, abs=1e-12)
 
 
-def test_apply_identity_is_reduced_state():
+def test_identity_branch_is_reduced_state():
     rng = np.random.default_rng(4)
     rho = random_density(DimSpec.make(("A", 2, "A"), ("B", 2, "B"), ("C", 2, "Z")), rng)
     jam = from_state(rho)
-    from entloc import partial_trace
-
-    np.testing.assert_allclose(
-        jam.apply(np.eye(2, dtype=complex)),
-        partial_trace(rho, ("A", "B")).matrix,
-        atol=1e-12,
-    )
+    reduced = partial_trace(rho, ("A", "B")).matrix
+    np.testing.assert_allclose(branches(jam, np.eye(2, dtype=complex)[None])[0], reduced,
+                               atol=1e-12)
+    r = jam.reduced_factor()
+    np.testing.assert_allclose(r @ r.conj().T, reduced, atol=1e-12)
 
 
-def test_apply_zero():
+def test_zero_element_has_zero_branch():
     rng = np.random.default_rng(5)
     rho = random_density(yz_pair(), rng)
     jam = from_state(rho, y_labels=("Y",), z_labels=("Z",))
-    np.testing.assert_allclose(jam.apply(np.zeros((2, 2))), 0.0, atol=0)
+    np.testing.assert_allclose(jam.povm_branch_factors(np.zeros((1, 2, 2))), 0.0, atol=0)
+    with pytest.raises(NullBranchError):
+        jam.branch(np.zeros((2, 2)))
 
 
 @given(seeds)
@@ -83,24 +88,24 @@ def test_stack_matches_single_applications(seed):
                         ("D", int(rng.integers(2, 4)), "Z"))
     jam = from_state(random_density(dims, rng, rank=int(rng.integers(1, 4))))
     k = int(rng.integers(1, 6))
-    stack = rng.standard_normal((k, jam.d_z, jam.d_z)) + 1j * rng.standard_normal(
-        (k, jam.d_z, jam.d_z))
-    out = jam.apply(stack)
+    stack = np.stack(random_povm(jam.d_z, k, rng))
+    out = branches(jam, stack)
     assert out.shape == (k, jam.d_y, jam.d_y)
     for q, got in zip(stack, out):
-        np.testing.assert_allclose(got, jam.apply(q), atol=1e-14)
-    for q, got in zip(stack, jam.apply_physical(stack)):
-        np.testing.assert_allclose(got, jam.apply_physical(q), atol=1e-14)
+        np.testing.assert_allclose(got, branches(jam, q[None])[0], atol=1e-14)
 
 
 def test_dimension_mismatch():
+    # a POVM of the wrong helper dimension fails on its shape, not inside numpy
     rng = np.random.default_rng(6)
-    rho = random_density(yz_pair(), rng)
-    jam = from_state(rho, y_labels=("Y",), z_labels=("Z",))
+    rho = random_density(DimSpec.make(("A", 2, "A"), ("B", 2, "B"), ("C", 2, "Z")), rng)
+    jam = from_state(rho)
     with pytest.raises(DimensionError):
-        jam.apply(np.eye(3))
+        jam.povm_branch_factors(np.stack(random_povm(3, 3, rng)))
     with pytest.raises(DimensionError):
-        jam.apply(np.zeros((1, 1, 2, 2)))
+        jam.povm_branch_factors(np.zeros((1, 1, 2, 2)))
+    with pytest.raises(DimensionError):
+        jam.branch(np.eye(3))
 
 
 def test_partition_mismatch():
@@ -119,10 +124,10 @@ class TestRoundTrip:
 
     def test_product_state(self):
         rng = np.random.default_rng(12)
-        joint = tensor_product(
-            random_density(DimSpec.make(("Y", 3, "A")), rng),
-            random_density(DimSpec.make(("Z", 2, "Z")), rng),
-        )
+        rho_y = random_density(DimSpec.make(("Y", 3, "A")), rng)
+        rho_z = random_density(DimSpec.make(("Z", 2, "Z")), rng)
+        joint = DensityOperator(np.kron(rho_y.matrix, rho_z.matrix),
+                                rho_y.dims.concat(rho_z.dims))
         jam = from_state(joint, y_labels=("Y",), z_labels=("Z",))
         np.testing.assert_allclose(jam.reconstruct().matrix, joint.matrix, atol=1e-12)
 
@@ -138,8 +143,10 @@ class TestRoundTrip:
         rho = random_density(spec, rng, rank=3)
         jam = from_state(rho)
         back = jam.reconstruct()
-        expected = permute_parties(rho, ("A", "B", "C"))
-        np.testing.assert_allclose(back.matrix, expected.matrix, atol=1e-12)
+        # rho with its row and column axes reordered (A, C, B) -> (A, B, C)
+        expected = rho.matrix.reshape((2,) * 6).transpose(0, 2, 1, 3, 5, 4).reshape(8, 8)
+        assert back.dims.labels == ("A", "B", "C")
+        np.testing.assert_allclose(back.matrix, expected, atol=1e-12)
 
 
 class TestTransposeConvention:
@@ -173,16 +180,15 @@ class TestLinearity:
     @given(seeds)
     @settings(max_examples=20, deadline=None)
     def test_linear_combination(self, seed):
+        # linear on the cone of POVM elements: nonnegative combinations
         rng = np.random.default_rng(seed)
         rho = random_density(yz_pair(3, 2), rng)
         jam = from_state(rho, y_labels=("Y",), z_labels=("Z",))
-        q1 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        q2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        a = complex(rng.standard_normal(), rng.standard_normal())
-        b = complex(rng.standard_normal(), rng.standard_normal())
+        q1, q2 = random_povm(2, 2, rng)
+        a, b = rng.uniform(0.0, 2.0, size=2)
         np.testing.assert_allclose(
-            jam.apply(a * q1 + b * q2),
-            a * jam.apply(q1) + b * jam.apply(q2),
+            branches(jam, (a * q1 + b * q2)[None])[0],
+            a * branches(jam, q1[None])[0] + b * branches(jam, q2[None])[0],
             atol=1e-12,
         )
 
@@ -192,13 +198,13 @@ class TestLinearity:
         parts = [random_density(spec, rng, rank=2) for _ in range(3)]
         t = rng.dirichlet(np.ones(3))
         mix = DensityOperator(sum(w * p.matrix for w, p in zip(t, parts)), spec)
-        q = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        q = random_povm(2, 2, rng)[0][None]
         jam_mix = from_state(mix, y_labels=("Y",), z_labels=("Z",))
         combo = sum(
-            w * from_state(p, y_labels=("Y",), z_labels=("Z",)).apply(q)
+            w * branches(from_state(p, y_labels=("Y",), z_labels=("Z",)), q)
             for w, p in zip(t, parts)
         )
-        np.testing.assert_allclose(jam_mix.apply(q), combo, atol=1e-12)
+        np.testing.assert_allclose(branches(jam_mix, q), combo, atol=1e-12)
 
 
 def test_choi_matrix_positive():

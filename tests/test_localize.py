@@ -21,13 +21,12 @@ from entloc import (
     gconcurrence_measure,
     optimize_le,
     partial_trace,
-    schmidt_decompose,
-    tensor_product,
 )
 from entloc.catalog import bell_state, build_locked_state, ghz_state, w_state
 from entloc.jamiolkowski import from_state
 from entloc.localize import _FactorEvaluator, _kron, _povm_from_isometries, _search
-from entloc.protocols import apply_instrument, evaluate_protocol, locked_state_protocol
+from entloc.protocols import (apply_instrument, evaluate_protocol, locked_state_protocol,
+                              monotonicity_gap)
 from entloc.sampling import (
     lockstep_search,
     phase_fixed_qr,
@@ -52,7 +51,8 @@ FAST = LEConfig(restarts=6, max_iters=200, seed=0)
 def bell_with_idle_helper(helper_rank=2):
     helper = random_density(DimSpec.make(("C", 2, "Z")), np.random.default_rng(2),
                             rank=helper_rank)
-    return tensor_product(bell_state().to_density(), helper)
+    bell = bell_state().to_density()
+    return DensityOperator(np.kron(bell.matrix, helper.matrix), bell.dims.concat(helper.dims))
 
 
 class TestProductPOVM:
@@ -190,6 +190,23 @@ class TestAverage:
                 ProductPOVM.single_party("X", (P0, P1)),
                 entropy_measure(),
             )
+
+    def test_helper_dimension_mismatch(self):
+        # a qutrit POVM on a qubit helper, and two helpers' factors swapped
+        # (the joint helper dimension still matches)
+        rng = np.random.default_rng(9)
+        qubit = random_density(DimSpec.make(("A", 2, "A"), ("B", 2, "B"), ("C", 2, "Z")), rng)
+        pair = random_density(DimSpec.make(("A", 2, "A"), ("B", 2, "B"), ("C", 2, "Z"),
+                                           ("D", 3, "Z")), rng)
+        swapped = ProductPOVM(("C", "D"), tuple(
+            (e3, e2) for e3 in random_povm(3, 2, rng) for e2 in random_povm(2, 2, rng)))
+        for rho, povm in ((qubit, ProductPOVM.single_party("C", random_povm(3, 3, rng))),
+                          (pair, swapped)):
+            with pytest.raises(DimensionError):
+                average_root_entanglement(rho, povm, concurrence_measure())
+            with pytest.raises(DimensionError):
+                monotonicity_gap(rho, Instrument.unitary("A", np.eye(2)), concurrence_measure(),
+                                 povm=povm)
 
 
 class TestOptimize:
@@ -348,12 +365,13 @@ def _reference_branches(rho, povm, measure):
 WOOTTERS_EIGVALS_TOL = 1e-7
 
 
-def _independent_branch_value(kind, sigma, cut):
+def _independent_branch_value(kind, sigma, cut, schmidt_numbers):
     """Branch value without ``RootMeasure``: entropy and G from the
-    ``schmidt_decompose`` spectrum of a pure branch, the concurrence of a
+    ``schmidt_numbers`` spectrum of a pure branch, the concurrence of a
     mixed two-qubit branch from the eigenvalues of rho (sy ⊗ sy) rho* (sy ⊗ sy)."""
-    if sigma.rank() == 1:
-        lam = schmidt_decompose(sigma.as_pure(), *cut).schmidt_numbers  # zero-padded
+    evals, evecs = sigma.eigensystem()
+    if np.count_nonzero(evals > 1e-10) == 1:
+        lam = schmidt_numbers(PureState(evecs[:, -1], sigma.dims), *cut)  # zero-padded
         if kind == "entropy":
             lam = lam[lam > 1e-15]
             return float(-np.sum(lam * np.log2(lam)))
@@ -383,7 +401,7 @@ class TestBatchedEngine:
     """The batched branch engine against the per-outcome reference loop."""
 
     @pytest.mark.parametrize("case", list(_sweep_cases()), ids=lambda c: f"case{c[0]}")
-    def test_matches_per_branch_reference(self, case):
+    def test_matches_per_branch_reference(self, case, schmidt_numbers):
         _, rho, rank, isos, measure = case
         povm = _povm_from_isometries(rho.dims.z_labels, isos)
         d_a = rho.dims.dim_of_labels(rho.dims.a_labels)
@@ -425,7 +443,7 @@ class TestBatchedEngine:
         for k, (p, v) in enumerate(res.branches):
             if ref[k][0] > 0:
                 p_k, sigma = conditional_state(rho, povm.element(k))
-                v_k = _independent_branch_value(measure.kind, sigma, cut)
+                v_k = _independent_branch_value(measure.kind, sigma, cut, schmidt_numbers)
                 assert v == pytest.approx(v_k, abs=indep_tol)
                 exact += p_k * v_k
         assert res.value == pytest.approx(exact, abs=indep_tol)
@@ -510,7 +528,7 @@ def with_mixed_helper(rho, rank=2):
     """rho with one more helper qubit, uncorrelated and mixed: the branches
     stay pure, the global state is mixed, so entropy has no exact gradient."""
     helper = random_density(DimSpec.make(("W", 2, "Z")), np.random.default_rng(7), rank=rank)
-    return tensor_product(rho, helper)
+    return DensityOperator(np.kron(rho.matrix, helper.matrix), rho.dims.concat(helper.dims))
 
 
 def _lockstep_cases():

@@ -21,7 +21,6 @@ from entloc import (
     monotonicity_gap,
     locked_state_protocol,
     partial_trace,
-    tensor_product,
     wootters_concurrence,
 )
 from entloc.catalog import (
@@ -41,7 +40,8 @@ H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 def test_empty_protocol_scores_reduced_state():
     helper = random_density(DimSpec.make(("C", 2, "Z")), np.random.default_rng(1))
-    rho = tensor_product(bell_state().to_density(), helper)
+    bell = bell_state().to_density()
+    rho = DensityOperator(np.kron(bell.matrix, helper.matrix), bell.dims.concat(helper.dims))
     res = evaluate_protocol(rho, None, entropy_measure())
     assert res.average == pytest.approx(1.0, abs=1e-10)
     assert len(res.leaves) == 1

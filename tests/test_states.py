@@ -10,14 +10,13 @@ from entloc import (
     PureState,
     conditional_state,
     partial_trace,
-    schmidt_decompose,
-    tensor_product,
 )
 from entloc.catalog import bell_state, build_locked_state, phi_plus_vector
 from entloc.sampling import (
     random_density,
     random_povm,
     random_pure,
+    random_rank1_povm,
     random_unitary,
 )
 
@@ -67,36 +66,37 @@ class TestNonFinite:
 
 
 class TestTensorProduct:
+    """Product states on concatenated layouts (``DimSpec.concat``)."""
+
     def test_basis_kets(self):
         a = ket(0, 2, DimSpec.make(("A", 2, "A")))
         b = ket(1, 2, DimSpec.make(("B", 2, "B")))
-        out = tensor_product(a, b)
+        out = PureState(np.kron(a.amplitudes, b.amplitudes), a.dims.concat(b.dims))
         expected = np.zeros(4)
         expected[1] = 1.0
         np.testing.assert_allclose(out.amplitudes, expected)
+        np.testing.assert_allclose(partial_trace(out.to_density(), ("B",)).matrix,
+                                   b.to_density().matrix, atol=1e-15)
 
     def test_maximally_mixed_factors(self):
         spec_a = DimSpec.make(("A", 2, "A"))
         spec_b = DimSpec.make(("B", 2, "B"))
-        out = tensor_product(
-            DensityOperator(np.eye(2) / 2, spec_a),
-            DensityOperator(np.eye(2) / 2, spec_b),
-        )
-        np.testing.assert_allclose(out.matrix, np.eye(4) / 4)
+        out = DensityOperator(np.kron(np.eye(2) / 2, np.eye(2) / 2), spec_a.concat(spec_b))
+        assert out.dims.labels == ("A", "B")
+        np.testing.assert_allclose(partial_trace(out, ("A",)).matrix, np.eye(2) / 2)
 
-    def test_two_bell_pairs_schmidt_numbers(self):
+    def test_two_bell_pairs_schmidt_numbers(self, schmidt_numbers):
         b1 = bell_state()
         b2 = PureState(
             bell_state().amplitudes, DimSpec.make(("A2", 2, "A"), ("B2", 2, "B"))
         )
-        both = tensor_product(b1, b2)
-        sd = schmidt_decompose(both, ("A", "A2"), ("B", "B2"))
-        # oracle: direct SVD of the explicitly permuted coefficient matrix
-        np.testing.assert_allclose(sd.schmidt_numbers, np.full(4, 0.25), atol=1e-12)
+        both = PureState(np.kron(b1.amplitudes, b2.amplitudes), b1.dims.concat(b2.dims))
+        lam = schmidt_numbers(both, ("A", "A2"), ("B", "B2"))
+        np.testing.assert_allclose(lam, np.full(4, 0.25), atol=1e-12)
 
     def test_label_collision(self):
         with pytest.raises(DimensionError):
-            tensor_product(bell_state(), bell_state())
+            bell_state().dims.concat(bell_state().dims)
 
 
 class TestPartialTrace:
@@ -114,10 +114,10 @@ class TestPartialTrace:
         psi = build_locked_state()
         rho = partial_trace(psi.to_density(), ("a", "A", "B"))
         # oracle: direct index contraction of the 64-dim vector
-        tens = psi.as_tensor().reshape(32, 2)
+        tens = psi.amplitudes.reshape(32, 2)
         oracle = np.einsum("ic,jc->ij", tens, tens.conj())
         np.testing.assert_allclose(rho.matrix, oracle, atol=1e-13)
-        assert rho.rank() == 2
+        assert np.count_nonzero(rho.eigensystem()[0] > 1e-10) == 2
 
     def test_unknown_label(self):
         with pytest.raises(DimensionError):
@@ -129,52 +129,49 @@ class TestPartialTrace:
         rng = np.random.default_rng(seed)
         a = random_density(DimSpec.make(("A", 2, "A"), ("B", 2, "B")), rng)
         b = random_density(DimSpec.make(("C", 3, "Z")), rng)
-        joint = tensor_product(a, b)
+        joint = DensityOperator(np.kron(a.matrix, b.matrix), a.dims.concat(b.dims))
         back = partial_trace(joint, ("A", "B"))
         np.testing.assert_allclose(back.matrix, a.matrix, atol=1e-12)
 
 
 class TestSchmidt:
-    def test_bell(self):
-        sd = schmidt_decompose(bell_state())
-        np.testing.assert_allclose(sd.schmidt_numbers, [0.5, 0.5], atol=1e-14)
+    """The test suite's Schmidt spectrum (conftest ``schmidt_numbers``)."""
 
-    def test_product(self):
+    def test_bell(self, schmidt_numbers):
+        np.testing.assert_allclose(schmidt_numbers(bell_state(), ("A",)), [0.5, 0.5], atol=1e-14)
+
+    def test_product(self, schmidt_numbers):
         spec = DimSpec.make(("A", 2, "A"), ("B", 2, "B"))
-        sd = schmidt_decompose(ket(0, 4, spec))
-        np.testing.assert_allclose(sd.schmidt_numbers, [1.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(schmidt_numbers(ket(0, 4, spec), ("A",)), [1.0, 0.0],
+                                   atol=1e-14)
 
-    def test_skewed_superposition(self):
+    def test_skewed_superposition(self, schmidt_numbers):
         spec = DimSpec.make(("A", 2, "A"), ("B", 2, "B"))
         vec = np.zeros(4, dtype=np.complex128)
         vec[0], vec[3] = np.sqrt(0.9), np.sqrt(0.1)
-        sd = schmidt_decompose(PureState(vec, spec))
-        np.testing.assert_allclose(sd.schmidt_numbers, [0.9, 0.1], atol=1e-12)
+        np.testing.assert_allclose(schmidt_numbers(PureState(vec, spec), ("A",)), [0.9, 0.1],
+                                   atol=1e-12)
 
-    def test_reconstruction(self):
+    def test_reconstruction(self, schmidt_numbers):
+        # Tr_B |psi><psi| = sum_i lam_i |u_i><u_i|: the reduced state's spectrum
         rng = np.random.default_rng(5)
         psi = random_pure(DimSpec.make(("A", 3, "A"), ("B", 4, "B")), rng)
-        sd = schmidt_decompose(psi)
-        coeff = np.sqrt(np.clip(sd.schmidt_numbers[: sd.left_vectors.shape[1]], 0, None))
-        rebuilt = sum(
-            c * np.kron(sd.left_vectors[:, i], sd.right_vectors[:, i])
-            for i, c in enumerate(coeff)
-        )
-        phase = np.vdot(rebuilt, psi.amplitudes)
-        phase /= abs(phase)
-        np.testing.assert_allclose(rebuilt * phase, psi.amplitudes, atol=1e-10)
+        lam = schmidt_numbers(psi, ("A",))
+        evals, _ = partial_trace(psi.to_density(), ("A",)).eigensystem()
+        np.testing.assert_allclose(evals[::-1], lam[:3], atol=1e-12)
+        assert lam[3] == 0.0
 
     @given(seeds)
     @settings(max_examples=20, deadline=None)
-    def test_local_unitary_invariance(self, seed):
+    def test_local_unitary_invariance(self, schmidt_numbers, seed):
         rng = np.random.default_rng(seed)
         spec = DimSpec.make(("A", 3, "A"), ("B", 3, "B"))
         psi = random_pure(spec, rng)
         u = np.kron(random_unitary(3, rng), random_unitary(3, rng))
         rotated = PureState(u @ psi.amplitudes, spec)
         np.testing.assert_allclose(
-            schmidt_decompose(rotated).schmidt_numbers,
-            schmidt_decompose(psi).schmidt_numbers,
+            schmidt_numbers(rotated, ("A",)),
+            schmidt_numbers(psi, ("A",)),
             atol=1e-10,
         )
 
@@ -213,9 +210,9 @@ class TestConditionalState:
         proj = np.diag([1.0, 0.0]).astype(complex)  # V_0 |0><0| V_0^dag, V_0 = I
         p, sigma = conditional_state(psi.to_density(), proj)
         # oracle: contract the C index with |0> directly
-        branch = psi.as_tensor()[..., 0].ravel()
+        branch = psi.amplitudes.reshape(32, 2)[:, 0]
         p_oracle = float(np.linalg.norm(branch) ** 2)
-        branch /= np.linalg.norm(branch)
+        branch = branch / np.linalg.norm(branch)
         assert p == pytest.approx(p_oracle, abs=1e-12)
         np.testing.assert_allclose(sigma.matrix, np.outer(branch, branch.conj()), atol=1e-11)
 
@@ -241,6 +238,27 @@ class TestConditionalState:
         np.testing.assert_allclose(
             mix, partial_trace(rho, ("A", "B")).matrix, atol=1e-10
         )
+
+    def test_reference_runs_without_the_branch_engine(self, abc_qubits, monkeypatch):
+        # acceptance criterion 7 checks the factor-form engine against this
+        # dense path, so the dense path must not reach the engine
+        from entloc import jamiolkowski
+
+        rng = np.random.default_rng(17)
+        rho = random_density(abc_qubits, rng)
+        q = random_rank1_povm(2, 3, rng)[0]
+        p_ref, sigma_ref = conditional_state(rho, q)
+
+        def engine(*args, **kwargs):
+            raise AssertionError("the dense reference reached the branch engine")
+
+        for name in ("from_state", "from_factor", "eigen_factor"):
+            monkeypatch.setattr(jamiolkowski, name, engine)
+        for name in ("branch_factors", "povm_branch_factors"):
+            monkeypatch.setattr(jamiolkowski.JamiolkowskiMap, name, engine)
+        p, sigma = conditional_state(rho, q)
+        assert p == p_ref
+        np.testing.assert_array_equal(sigma.matrix, sigma_ref.matrix)
 
 
 class TestSampling:
