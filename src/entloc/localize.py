@@ -17,7 +17,8 @@ Takagi kernel for concurrence and G on a mixed 2 x 2 cut) it is
 exact gradient of the branch average (the pattern of Audenaert, Verstraete
 and De Moor, PRA 64, 052304 (2001)), carried back through the row-wise
 Kronecker product of the outcome vectors and the QR to x, for every restart
-in one pass (the helpers' pre-images of one shape in one QR). The remaining
+in one pass (the helpers' pre-images of one shape in one Gram-Cholesky QR,
+``sampling.gram_cholesky_qr``). The remaining
 cases (G on a larger mixed cut, entropy on a mixed state) run the
 random-step search ``sampling.lockstep_search`` alone. Every branch comes
 from the state's Jamiolkowski map (``jamiolkowski``), built once per call
@@ -40,8 +41,9 @@ import numpy as np
 
 from .jamiolkowski import from_state
 from .measures import RootMeasure, _takagi_stack, takagi_factorization
-from .sampling import (flatten_complex, lockstep_lbfgs, lockstep_search, phase_fixed_qr,
-                       phase_fixed_qr_backward, seeded_starts, unflatten_complex)
+from .sampling import (flatten_complex, gram_cholesky_qr, gram_cholesky_qr_backward,
+                       lockstep_lbfgs, lockstep_search, phase_fixed_qr, seeded_starts,
+                       unflatten_complex)
 from .states import DensityOperator, DimensionError, PureState
 
 # fixed stop tests of the L-BFGS descent: relative reduction, largest |gradient|
@@ -59,7 +61,8 @@ class ProductPOVM:
 
     ``factors[k][i]`` is the positive operator of outcome k on helper party i
     (party order given by ``z_labels``); the tensor products must sum to the
-    identity. Each party's factors are checked as one (K, d_i, d_i) stack:
+    identity. Each party's factors must be square of one size, d_i x d_i,
+    and are checked as one (K, d_i, d_i) stack:
     finite, Hermitian within 1e-10 and no eigenvalue below -1e-10; the
     products' sum, from one batched Kronecker product, within 1e-8 of I.
     """
@@ -78,6 +81,10 @@ class ProductPOVM:
             raise DimensionError("POVM needs at least one helper party")
         if any(len(out) != len(self.z_labels) for out in facs):
             raise DimensionError("each outcome needs one factor per helper party")
+        for party in zip(*facs):
+            shape = party[0].shape
+            if len(shape) != 2 or shape[0] != shape[1] or any(f.shape != shape for f in party):
+                raise DimensionError("all POVM factors of a party must be square of equal size")
         stacks = self._party_stacks()
         if not all(np.all(np.isfinite(s)) for s in stacks):
             raise ValueError("POVM factor has non-finite entries")
@@ -343,11 +350,12 @@ class _FactorEvaluator:
         """Averages at the pre-images ``params`` (one (..., K_i, d_i) stack per
         helper party, batched over the leading axes) and their gradients with
         respect to each, G = df/dRe x + i df/dIm x: through the branch
-        factors, the outcome vectors and the phase-fixed QR, each step one
-        call for the whole batch, the parties' pre-images of one shape
-        stacked into one QR and one QR backward."""
+        factors, the outcome vectors and the Gram-Cholesky QR
+        (``sampling.gram_cholesky_qr``, the phase-fixed QR but for rounding),
+        each step one call for the whole batch, the parties' pre-images of
+        one shape stacked into one factorization and one backward pass."""
         groups = _shape_groups(params)
-        qrs = [phase_fixed_qr(_stacked(params, idx)) for idx in groups]
+        qrs = [gram_cholesky_qr(_stacked(params, idx)) for idx in groups]
         isos = _unstacked(groups, [q for q, _ in qrs], len(params))
         w = _kron(isos)
         _, values, g_f = self.kernel(self.jam.branch_factors(w.reshape(-1, w.shape[-1])))
@@ -355,8 +363,8 @@ class _FactorEvaluator:
             self.jam.d_z, -1).T
         g_isos = _kron_backward(isos, g_w)
         return values.reshape(w.shape[:-1]).sum(axis=-1), _unstacked(groups, [
-            phase_fixed_qr_backward(q, r, _stacked(g_isos, idx))
-            for idx, (q, r) in zip(groups, qrs)], len(params))
+            gram_cholesky_qr_backward(q, l_inv, _stacked(g_isos, idx))
+            for idx, (q, l_inv) in zip(groups, qrs)], len(params))
 
 
 def optimize_le(rho: PureState | DensityOperator, measure: RootMeasure,

@@ -153,8 +153,11 @@ def smoothed_determinant(mats: np.ndarray, eps: float):
     smooth = det2 + eps * eps
     a = smooth ** (1.0 / d)
     live = det2 > 0
-    inv = np.linalg.inv(np.where(live[..., None, None], mats, np.eye(d)))
-    coef = 2.0 * a * det2 / np.where(live, smooth, 1.0)  # 0 where det C = 0
+    if live.all():
+        inv, coef = np.linalg.inv(mats), 2.0 * a * det2 / smooth
+    else:  # 0 where det C = 0, each such C inverted as I
+        inv = np.linalg.inv(np.where(live[..., None, None], mats, np.eye(d)))
+        coef = 2.0 * a * det2 / np.where(live, smooth, 1.0)
     return a, coef[..., None, None] * inv.conj().swapaxes(-1, -2)
 
 

@@ -11,7 +11,7 @@ adds only Wootters' optimal decomposition on a mixed 2 x 2 state
 is an upper bound from a descent. On random 3 x 3 states it reads a zero
 roof within about 4e-6 of 0, its floor at the det = 0 cusp. That floor is
 not general: the 3 x 3 isotropic state at F = 2/3, whose roof is 0 (its
-Schmidt number is 2), reads 5.9e-4 with ``converged`` True, a fault that
+Schmidt number is 2), reads 3.1e-4 with ``converged`` True, a fault that
 ROADMAP.md keeps open.
 
 The descent (``descend``, its one entry) searches the standard isometry
@@ -27,9 +27,12 @@ which at eps = 0 is the LE's determinant kernel).
 
 The optimizer is a gradient-only multistart over the Gaussian pre-image x of
 the isometry (U = Q of the phase-fixed QR x = Q R; the parameterization of
-Audenaert, Verstraete and De Moor, PRA 64, 052304 (2001)). |det C|^(2/d) has
-a cusp at det C = 0, exactly where members become product vectors, so the
-descent runs on the smoothed objective
+Audenaert, Verstraete and De Moor, PRA 64, 052304 (2001)). The descent
+takes Q from the Gram-Cholesky form of that QR (``sampling.gram_cholesky_qr``,
+the same Q but for rounding); each restart's exact value at its final point
+and the winner's ensemble take it from ``sampling.phase_fixed_qr``.
+|det C|^(2/d) has a cusp at det C = 0, exactly where members become product
+vectors, so the descent runs on the smoothed objective
 
     f_eps(x) = d sum_i [(|det C_i|^2 + eps^2)^(1/d) - eps^(2/d)],
 
@@ -38,12 +41,14 @@ stages (``_EPS_SCHEDULE``). The schedule and the gradient stop test are
 absolute, so ``descend`` runs a state of trace t at unit trace, on
 W / sqrt(t), and scales its value, weights and restart values back by t:
 the value is homogeneous in rho, as the roof is. Its exact gradient is carried
-back through the QR to x. ``sampling.lockstep_lbfgs`` polishes every restart
-at the first eps in lockstep, one batched QR and one batched determinant per
-round; the three lowest go on through the smaller eps values, each stage
-starting where the last ended. Every restart is scored by the exact f at its
-final point and the lowest wins, so the descent's values carry UPPER-bound
-semantics: the true roof can only be lower.
+back through the Gram-Cholesky factorization to x
+(``sampling.gram_cholesky_qr_backward``). ``sampling.lockstep_lbfgs`` polishes
+every restart at the first eps in lockstep, one batched Cholesky, one
+batched determinant and two batched inverses per round; the three lowest go
+on through the smaller eps values, each stage starting where the last
+ended. Every restart is scored by the exact f at its final point and the
+lowest wins, so the descent's values carry UPPER-bound semantics: the true
+roof can only be lower.
 """
 
 from __future__ import annotations
@@ -56,8 +61,8 @@ import numpy as np
 from .jamiolkowski import eigen_factor
 from .measures import (RootMeasure, _cut_or_default, _takagi_stack, smoothed_determinant,
                        takagi_factorization)
-from .sampling import (flatten_complex, lockstep_lbfgs, phase_fixed_qr, phase_fixed_qr_backward,
-                       seeded_starts, unflatten_complex)
+from .sampling import (flatten_complex, gram_cholesky_qr, gram_cholesky_qr_backward,
+                       lockstep_lbfgs, phase_fixed_qr, seeded_starts, unflatten_complex)
 from .states import DensityOperator, DimSpec, PureState, permute_factor
 
 
@@ -139,17 +144,18 @@ def _objective_and_gradient(x: np.ndarray, w: np.ndarray, d: int, eps: float):
     (..., m, r) stack, and its gradient G_x = df/dRe x + i df/dIm x; eps = 0
     gives the exact f.
 
-    The chain: G_C = 2 (|det C|^2 + eps^2)^(1/d - 1) |det C|^2 C^-H (0 where
-    det C = 0), from ``measures.smoothed_determinant``, the formula the LE's
-    determinant kernel takes at eps = 0; G_Q = G_C flattened against
-    conj(w); then the backward pass of the phase-fixed QR x = Q R
-    (``phase_fixed_qr_backward``).
+    U is Q of ``sampling.gram_cholesky_qr``, the phase-fixed QR's Q to
+    rounding. The chain: G_C = 2 (|det C|^2 + eps^2)^(1/d - 1) |det C|^2
+    C^-H (0 where det C = 0), from ``measures.smoothed_determinant``, the
+    formula the LE's determinant kernel takes at eps = 0; G_Q = G_C
+    flattened against conj(w); then ``gram_cholesky_qr_backward``. A
+    pre-image whose Gram is not numerically positive definite gets NaN.
     """
-    q, r, mats = _ensemble_stack(x, w, d)
-    a, g_c = smoothed_determinant(mats, eps)
+    q, l_inv = gram_cholesky_qr(x)
+    a, g_c = smoothed_determinant((q @ w.T).reshape(q.shape[:-1] + (d, d)), eps)
     g_q = g_c.reshape(q.shape[:-1] + (-1,)) @ w.conj()
     value = d * (np.sum(a, axis=-1) - a.shape[-1] * eps ** (2.0 / d))
-    return value, phase_fixed_qr_backward(q, r, g_q)
+    return value, gram_cholesky_qr_backward(q, l_inv, g_q)
 
 
 def _members(cols: np.ndarray, dims: DimSpec) -> tuple[np.ndarray, tuple[PureState, ...]]:
@@ -258,7 +264,7 @@ def gconcurrence_mixed(rho: DensityOperator, cut=None, config: RoofConfig | None
     and ``wootters_concurrence`` return, with Wootters' decomposition on a
     mixed 2 x 2 state and the eigen-ensemble elsewhere. Otherwise it is
     ``descend`` on that eigen-factor at rho's trace, an upper bound: within
-    about 4e-6 of a zero roof on random 3 x 3 states, but 5.9e-4 (converged)
+    about 4e-6 of a zero roof on random 3 x 3 states, but 3.1e-4 (converged)
     on the 3 x 3 isotropic state at F = 2/3, whose roof is 0. Homogeneous of
     degree one in rho; the zero operator gives 0 and an empty ensemble.
     """

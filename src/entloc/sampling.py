@@ -5,7 +5,11 @@ seeded Gaussian starts (``seeded_starts``): an L-BFGS descent, which the
 convex roof and the LE search share wherever the gradient is exact, and a
 random search, the LE's where it is not. The descent ends a row on
 L-BFGS-B's tests and also at the rounding floor, where the next line search
-could not resolve a decrease in f.
+could not resolve a decrease in f. Both descents map their pre-images to
+isometries by one Gram-Cholesky kernel (``gram_cholesky_qr`` and its
+backward pass), the phase-fixed QR (``phase_fixed_qr``) but for rounding,
+with no Householder sweep, phase fix or triangular solve; the Haar
+samplers and the random search take ``phase_fixed_qr`` itself.
 
 All sampling is deterministic given the generator/seed passed in; nothing here
 touches global RNG state.
@@ -57,26 +61,49 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _skew_masks(c: int) -> tuple[np.ndarray, np.ndarray]:
-    """The strictly lower triangle of ones and i I of size c, read-only."""
-    tri, eye = np.tri(c, c, -1), 1j * np.eye(c)
-    tri.flags.writeable = eye.flags.writeable = False
-    return tri, eye
+def _upper_half(c: int) -> np.ndarray:
+    """c x c: ones above the diagonal, 1/2 on it, zeros below; read-only."""
+    mask = np.triu(np.ones((c, c)), 1) + 0.5 * np.eye(c)
+    mask.flags.writeable = False
+    return mask
 
 
-def phase_fixed_qr_backward(q: np.ndarray, r: np.ndarray, g_q: np.ndarray) -> np.ndarray:
-    """Carry a gradient through the phase-fixed QR x = Q R of a tall matrix or
-    a (..., rows, cols) stack (Q and R from ``phase_fixed_qr``).
+def gram_cholesky_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q and L^-1 of x = Q L^H for a tall matrix or a (..., rows, cols)
+    stack, with L = chol(x^H x) and Q = x L^-H (CholeskyQR; Fukaya et al.,
+    "CholeskyQR2", 2014).
+
+    In exact arithmetic this is ``phase_fixed_qr``'s factorization, R = L^H
+    having a real positive diagonal, at the cost of one cols x cols Cholesky
+    and one inverse per matrix. A matrix whose Gram is not numerically
+    positive definite (rank-deficient or non-finite x) gets Q and L^-1 of
+    NaN, and raises nothing; the others are computed as without it.
+    """
+    gram = _adjoint(x) @ x
+    try:
+        l_inv = np.linalg.inv(np.linalg.cholesky(gram))
+    except np.linalg.LinAlgError:
+        l_inv = np.full_like(gram, np.nan)
+        for i in np.ndindex(gram.shape[:-2]):
+            try:
+                l_inv[i] = np.linalg.inv(np.linalg.cholesky(gram[i]))
+            except np.linalg.LinAlgError:
+                pass
+    return x @ _adjoint(l_inv), l_inv
+
+
+def gram_cholesky_qr_backward(q: np.ndarray, l_inv: np.ndarray, g_q: np.ndarray) -> np.ndarray:
+    """Carry a gradient through ``gram_cholesky_qr``'s x = Q L^H of a tall
+    matrix or a (..., rows, cols) stack.
 
     Gradients are complex, G = df/dRe + i df/dIm of a real f. With
     M = Q^H G_Q and N = tril(M, -1) - tril(M^H, -1) + i diag(Im M), the
-    gradient with respect to x is G_x = [Q N + (I - Q Q^H) G_Q] R^-H.
+    gradient with respect to x is G_x = [Q N + (I - Q Q^H) G_Q] L^-1, taken
+    as (G_Q - Q P) L^-1 with P = M - N, the Hermitian matrix of M's strict
+    upper triangle and the real part of its diagonal.
     """
-    mq = _adjoint(q) @ g_q
-    tri, eye = _skew_masks(mq.shape[-1])
-    skew = (mq - _adjoint(mq)) * tri + eye * mq.imag
-    # G_x R^H = Q (N - M) + G_Q, solved as R G_x^H = (...)^H
-    return _adjoint(np.linalg.solve(r, _adjoint(q @ (skew - mq) + g_q)))
+    half = (_adjoint(q) @ g_q) * _upper_half(q.shape[-1])
+    return (g_q - q @ (half + _adjoint(half))) @ l_inv
 
 
 def seeded_starts(seed, restarts: int, shapes):

@@ -1,9 +1,10 @@
-"""The lockstep L-BFGS driver and the stacked QR backward pass."""
+"""The lockstep L-BFGS driver and the Gram-Cholesky QR kernel of the descents."""
 
 import numpy as np
 import pytest
 
-from entloc.sampling import lockstep_lbfgs, phase_fixed_qr, phase_fixed_qr_backward
+from entloc.sampling import (gram_cholesky_qr, gram_cholesky_qr_backward, lockstep_lbfgs,
+                             phase_fixed_qr)
 
 # L-BFGS-B's default stop tests (the roof's), and the LE descent's
 DEFAULT_TOLS = dict(ftol=2.220446049250313e-09, gtol=1e-5)
@@ -128,14 +129,75 @@ def test_iteration_cap():
     assert stop == ("max_iters", "gtol")
 
 
-@pytest.mark.parametrize("shape", [(5, 3), (4, 4), (6, 1)])
-def test_qr_backward_stack_matches_each_matrix(shape):
+# the shapes the descents factor: the roof's (r + 2, r) pre-images and the
+# LE's (d^2, d) ones
+KERNEL_SHAPES = [(4, 2), (5, 3), (6, 4), (9, 3), (16, 4)]
+
+
+def gaussian(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_kernel_is_the_phase_fixed_qr(shape):
     rng = np.random.default_rng(sum(shape))
-    x = rng.standard_normal((3,) + shape) + 1j * rng.standard_normal((3,) + shape)
-    g_q = rng.standard_normal((3,) + shape) + 1j * rng.standard_normal((3,) + shape)
-    q, r = phase_fixed_qr(x)
-    stacked = phase_fixed_qr_backward(q, r, g_q)
+    x = gaussian(rng, (8,) + shape)
+    q, l_inv = gram_cholesky_qr(x)
+    want_q, want_r = phase_fixed_qr(x)
+    np.testing.assert_allclose(q, want_q, atol=1e-13, rtol=0)
+    r = np.linalg.inv(l_inv).conj().swapaxes(-1, -2)
+    np.testing.assert_allclose(r, want_r, atol=1e-13, rtol=0)
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (5, 3), (9, 3)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_kernel_backward_matches_central_differences(shape, central_gradient):
+    # f(Q) = Re tr(A^H Q) + sum |Q_ij|^4, which depends on Q's phases, so
+    # the gradient goes through the whole factorization
+    rng = np.random.default_rng(10 + sum(shape))
+    x, a = gaussian(rng, shape), gaussian(rng, shape)
+
+    def f(y):
+        q = gram_cholesky_qr(y)[0]
+        return float(np.sum((a.conj() * q).real) + np.sum(np.abs(q) ** 4))
+
+    q, l_inv = gram_cholesky_qr(x)
+    grad = gram_cholesky_qr_backward(q, l_inv, a + 4.0 * np.abs(q) ** 2 * q)
+    np.testing.assert_allclose(grad, central_gradient(f, x), atol=1e-8, rtol=0)
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (4, 4), (6, 1), (16, 4)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_kernel_stack_matches_each_matrix(shape):
+    rng = np.random.default_rng(20 + sum(shape))
+    x, g_q = gaussian(rng, (3,) + shape), gaussian(rng, (3,) + shape)
+    q, l_inv = gram_cholesky_qr(x)
+    stacked = gram_cholesky_qr_backward(q, l_inv, g_q)
     for i in range(3):
-        qi, ri = phase_fixed_qr(x[i])
-        np.testing.assert_allclose(stacked[i], phase_fixed_qr_backward(qi, ri, g_q[i]),
+        qi, li = gram_cholesky_qr(x[i])
+        np.testing.assert_allclose(q[i], qi, atol=1e-14, rtol=0)
+        np.testing.assert_allclose(l_inv[i], li, atol=1e-14, rtol=0)
+        np.testing.assert_allclose(stacked[i], gram_cholesky_qr_backward(qi, li, g_q[i]),
                                    atol=1e-13, rtol=0)
+
+
+@pytest.mark.parametrize("bad", ["zero column", "nan", "inf"])
+def test_kernel_marks_only_a_failed_matrix(bad):
+    # a Gram that is not numerically positive definite raises nothing: its
+    # matrix gets non-finite Q, L^-1 and gradient, and the others are bit for
+    # bit those of the stack without it
+    rng = np.random.default_rng(30)
+    x, g_q = gaussian(rng, (4, 5, 3)), gaussian(rng, (4, 5, 3))
+    broken = x.copy()
+    if bad == "zero column":
+        broken[1, :, 2] = 0.0
+    else:
+        broken[1, 3, 1] = getattr(np, bad)
+    with np.errstate(invalid="ignore"):  # inf times 0 in the Gram
+        q, l_inv = gram_cholesky_qr(broken)
+        grad = gram_cholesky_qr_backward(q, l_inv, g_q)
+    for a in (q, l_inv, grad):
+        assert not np.isfinite(a[1]).any()
+    want_q, want_l_inv = gram_cholesky_qr(x)
+    want_grad = gram_cholesky_qr_backward(want_q, want_l_inv, g_q)
+    for got, want in ((q, want_q), (l_inv, want_l_inv), (grad, want_grad)):
+        np.testing.assert_array_equal(got[[0, 2, 3]], want[[0, 2, 3]])
